@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the exact cyclotomic expansion on large shapes.
+"""Time expand(stanley(p)) on staircase-like shapes of growing size.
 
-Expands the major-index generating function for staircase-like partitions of
-growing size and checks the q=1 value against the hook-length count.
+Each expansion is the Moebius conversion of the cancelled cyclotomic product
+to (q^d - 1) exponents, then the half-plus-mirror kernel expand_binomial_form.
+The q=1 value is checked against the hook-length count.  The benchmark with
+bounds and output checks is bench/run.py.
+
+    PYTHONPATH=src python3 scripts/stanley_bench.py --sizes 50,100,200
 """
 import argparse
 import time

@@ -1,6 +1,6 @@
 """Exact major-index combinatorics on standard Young tableaux.
 
-Generating functions via cancelled cyclotomic products, fake degrees for
+Generating functions via (q^d - 1) binomial forms, fake degrees for
 wreath products and all groups G(m,d,n), deformed Gaussian multinomials,
 maj-raising tableau mutations with their two ranked posets, and closed-form
 nonzero-coefficient classifiers backed by brute-force oracles.
@@ -29,6 +29,7 @@ from .qpolys import (
     divide_exact,
     divide_exact_int,
     expand,
+    expand_binomial_form,
     q_binomial,
     q_factorial,
     q_int,

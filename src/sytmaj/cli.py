@@ -185,7 +185,10 @@ def main(argv=None) -> int:
         "deformed": cmd_deformed,
         "verify": cmd_verify,
     }
-    return handlers[args.command](parser, args)
+    try:
+        return handlers[args.command](parser, args)
+    except ValueError as exc:  # bad input, BoundExceeded and DNotDividingM included
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -7,20 +7,28 @@ the groups G(m,d,n).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial
+from operator import add
 
-from .deformed import deformed_multinomial
+from .deformed import _dec, rotation_class
 from .qpolys import (
     CycloProduct,
     QPoly,
     divide_exact_int,
-    expand,
-    q_multinomial,
-    substitute_power,
+    expand_binomial_form,
+    multinomial_exponents,
 )
-from .shapes import BlockShape, Partition, b_statistic, hook_lengths, partitions
+from .shapes import (
+    BlockShape,
+    Partition,
+    b_composition,
+    b_statistic,
+    hook_lengths,
+    partitions,
+)
 from .tableaux import DNotDividingM
 
 
@@ -49,14 +57,29 @@ def syt_count(p: Partition) -> int:
     return num
 
 
+def _hook_form(blocks: BlockShape) -> tuple[int, Counter]:
+    """q-shift and (q^d-1) exponents of the product of the blocks' stanley
+    products."""
+    shift, exps = 0, Counter()
+    for b in blocks.blocks:
+        if b:
+            cp = stanley(b)
+            shift += cp.shift
+            exps.update(cp.binomial_exponents())
+    return shift, exps
+
+
+def _block_form(blocks: BlockShape) -> tuple[int, Counter]:
+    """q-shift and (q^d-1) exponents of block_maj_gf."""
+    shift, exps = _hook_form(blocks)
+    exps.update(multinomial_exponents(blocks.n, blocks.alpha()))
+    return shift, exps
+
+
 def block_maj_gf(blocks: BlockShape) -> QPoly:
     """Major-index generating function of a block diagonal shape: the
     q-multinomial times the product of the single-shape polynomials."""
-    out = q_multinomial(blocks.n, blocks.alpha())
-    for b in blocks.blocks:
-        if b:
-            out = out * expand(stanley(b))
-    return out
+    return expand_binomial_form(*_block_form(blocks))
 
 
 @dataclass(frozen=True)
@@ -157,22 +180,46 @@ def wreath_fake_degree(blocks: BlockShape, m: int) -> QPoly:
     generating function evaluated at q**m."""
     if blocks.m != m:
         raise ValueError(f"block count {blocks.m} != m={m}")
-    return substitute_power(block_maj_gf(blocks), m).shift(blocks.b_alpha())
+    shift, exps = _block_form(blocks)
+    # q -> q**m takes (q^d - 1) to (q^(dm) - 1)
+    return expand_binomial_form(blocks.b_alpha() + m * shift, {m * k: e for k, e in exps.items()})
 
 
 def gmdn_fake_degree(blocks: BlockShape, m: int, d: int) -> QPoly:
-    """Fake degree polynomial for G(m,d,n): orbit-size factor times the
-    deformed multinomial times the product of substituted hook products."""
+    """Fake degree polynomial for G(m,d,n): the deformed multinomial times
+    the blocks' hook products at q**m, divided by d/|orbit|.
+
+    The deformed multinomial is a sum over the d rotations beta of alpha and
+    the first m/d deletion positions v of q**(b(beta) + m*prefix) times the
+    multinomial of beta with entry v decreased, at q**m; every term times
+    the hook products is one binomial-form expansion.
+    """
     if blocks.m != m:
         raise ValueError(f"block count {blocks.m} != m={m}")
     if d <= 0 or m % d:
         raise DNotDividingM(f"d={d} does not divide m={m}")
-    out = deformed_multinomial(blocks.alpha(), d)
-    for b in blocks.blocks:
-        if b:
-            out = out * substitute_power(expand(stanley(b)), m)
+    n = blocks.n
+    if n == 0:
+        return QPoly.one()  # G(m,d,0) is trivial: one irreducible, fake degree 1
+    shift, hooks = _hook_form(blocks)
+    terms = []
+    for beta in rotation_class(blocks.alpha(), d):
+        prefix = 0
+        for v in range(1, m // d + 1):
+            if beta[v - 1]:
+                exps = multinomial_exponents(n - 1, _dec(beta, v))
+                exps.update(hooks)
+                lift = b_composition(beta) + m * (prefix + shift)
+                terms.append(expand_binomial_form(lift, {m * k: e for k, e in exps.items()}))
+            prefix += beta[v - 1]
+    lo = min(term.offset for term in terms)
+    out = [0] * (max(term.degree for term in terms) + 1 - lo)
+    for term in terms:
+        i = term.offset - lo
+        out[i : i + len(term.coeffs)] = map(add, out[i : i + len(term.coeffs)], term.coeffs)
     orbit = len(blocks.orbit(d))
     if d % orbit:
         raise AssertionError("orbit size must divide d")
     t = d // orbit
-    return divide_exact_int(out, t) if t > 1 else out
+    poly = QPoly(lo, out)
+    return divide_exact_int(poly, t) if t > 1 else poly

@@ -1,15 +1,22 @@
 """Exact polynomial arithmetic in q with arbitrary-precision integers.
 
-QPoly is a dense coefficient vector plus a degree offset; CycloProduct is a
-q-shift plus a signed multiset of cyclotomic indices, the fast carrier for
-hook-length-formula products.
+QPoly is a dense coefficient vector plus a degree offset.  Every closed form
+in the package is a binomial form q**s * prod_d (q**d - 1)**e_d, held as the
+map d -> e_d: a product adds maps, and q -> q**m scales the keys by m.
+expand_binomial_form is the one kernel that expands such a map.  The forms
+are palindromic, so it computes the lower half of the coefficients as a
+truncated power series and mirrors it.  CycloProduct, a q-shift plus
+cancelled cyclotomic exponents, expands through the same kernel after a
+Moebius conversion.
 """
 from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from math import prod
 from typing import Iterable, NamedTuple
 
 
@@ -252,32 +259,6 @@ def cyclotomic_polynomial(j: int) -> QPoly:
     return num
 
 
-def _mul_qpow_minus_one(coeffs: list[int], d: int) -> list[int]:
-    """Multiply a dense vector by (q^d - 1)."""
-    n = len(coeffs)
-    out = [0] * (n + d)
-    out[d:] = coeffs
-    for i in range(n):
-        out[i] -= coeffs[i]
-    return out
-
-
-def _div_qpow_minus_one(coeffs: list[int], d: int) -> list[int]:
-    """Exact division of a dense vector by (q^d - 1); raises if inexact."""
-    n = len(coeffs)
-    if n < d:
-        raise NonzeroRemainder(f"cannot divide length-{n} vector by q^{d}-1")
-    out = [0] * (n - d)
-    # On each residue class mod d the quotient is a negated prefix sum.
-    for r in range(d):
-        cls = coeffs[r::d]
-        acc = list(itertools.accumulate(cls))
-        if acc[-1] != 0:
-            raise NonzeroRemainder("division by q^%d-1 is not exact" % d)
-        out[r::d] = [-a for a in acc[:-1]]
-    return out
-
-
 @dataclass(frozen=True)
 class CycloProduct:
     """q**shift times a product of cyclotomic polynomials Phi_j**e_j."""
@@ -297,6 +278,15 @@ class CycloProduct:
     def exponent_dict(self) -> dict[int, int]:
         return dict(self.exponents)
 
+    def binomial_exponents(self) -> Counter:
+        """The map d -> e_d with prod Phi_j**E_j = prod (q**d - 1)**e_d,
+        by the Moebius form Phi_j = prod_{d|j} (q**d - 1)**mu(j/d)."""
+        exps: Counter = Counter()
+        for j, e in self.exponents:
+            for d in _divisors(j):
+                exps[d] += _mobius(j // d) * e
+        return exps
+
     def expand(self) -> QPoly:
         return expand(self)
 
@@ -310,15 +300,61 @@ class CycloProduct:
         return val
 
 
+def expand_binomial_form(shift: int, exponents: dict[int, int]) -> QPoly:
+    """Expand q**shift * prod_d (q**d - 1)**e_d, given the map d -> e_d.
+
+    With E = sum e_d and L = sum d*e_d the product is (-1)**E times
+    P(q) = prod (1 - q**d)**e_d, and q**L P(1/q) = (-1)**E P(q).  So only
+    the coefficients of degree < ceil((L+1)/2) are computed, as a power
+    series truncated there, and the rest is mirrored.  Factors with d at
+    or beyond the truncation are 1 in the series and are skipped.  The
+    multiply passes run first, smallest d first, while the nonzero prefix
+    is still short; then the divide passes (prefix sums per residue class
+    mod d), largest d first, while the coefficients are still small.
+
+    The truncation cannot see a remainder, so the result is checked at
+    q = 1 against prod d**e_d (E = 0) or 0 (E > 0); NonzeroRemainder when
+    the map is not a polynomial.
+    """
+    exps = sorted((d, e) for d, e in exponents.items() if e)
+    if any(d < 1 for d, _ in exps):
+        raise ValueError(f"binomial-form indices must be >= 1: {exponents}")
+    total = sum(e for _, e in exps)
+    length = sum(d * e for d, e in exps)
+    if total < 0 or length < 0:
+        raise NonzeroRemainder(f"{exponents} is not a polynomial")
+    half = length // 2 + 1
+    c = [1] + [0] * (half - 1)
+    hi = 1  # c[hi:] is still zero during the multiply passes
+    for d, e in exps:
+        if e > 0 and d < half:
+            for _ in range(e):
+                hi = min(half, hi + d)
+                c[d:hi] = [a - b for a, b in zip(c[d:hi], c)]
+    for d, e in reversed(exps):
+        if e < 0 and d < half:
+            for _ in range(-e):
+                for r in range(d):
+                    c[r::d] = itertools.accumulate(c[r::d])
+    # (-1)**E P(q): the lower half takes the sign, the mirrored half P's own
+    low = [-x for x in c] if total % 2 else c
+    coeffs = low + c[: length + 1 - half][::-1]
+    value = sum(coeffs)
+    if total:
+        ok = value == 0
+    else:
+        ok = value * prod(d**-e for d, e in exps if e < 0) == prod(d**e for d, e in exps if e > 0)
+    if not ok:
+        raise NonzeroRemainder(f"{exponents} is not a polynomial")
+    return QPoly(shift, coeffs)
+
+
 def expand(cp: CycloProduct, method: str = "fast") -> QPoly:
     """Expand a CycloProduct to an exact dense QPoly.
 
-    The fast path rewrites Phi_j = prod_{d|j} (q^d-1)^{mu(j/d)}, multiplies
-    all positive (q^d-1) powers into one dense vector in ascending d order,
-    then strips the negative powers by exact streaming division (each step
-    stays exact because the running product always contains the remaining
-    divisors as factors).  `method="direct"` multiplies the expanded Phi_j
-    one at a time instead, for cross-checking.
+    The fast path is the Moebius conversion to (q^d-1) exponents followed
+    by expand_binomial_form.  `method="direct"` multiplies the expanded
+    Phi_j one at a time instead, for cross-checking.
     """
     if any(e < 0 for _, e in cp.exponents):
         raise NegativeExponent(f"negative exponent in {cp.exponents}")
@@ -331,21 +367,7 @@ def expand(cp: CycloProduct, method: str = "fast") -> QPoly:
         return acc.shift(cp.shift)
     if method != "fast":
         raise ValueError(f"unknown method {method!r}")
-
-    binom_exp: dict[int, int] = {}
-    for j, e in cp.exponents:
-        for d in _divisors(j):
-            mu = _mobius(j // d)
-            if mu:
-                binom_exp[d] = binom_exp.get(d, 0) + mu * e
-    coeffs = [1]
-    for d in sorted(binom_exp):
-        for _ in range(max(binom_exp[d], 0)):
-            coeffs = _mul_qpow_minus_one(coeffs, d)
-    for d in sorted(binom_exp):
-        for _ in range(max(-binom_exp[d], 0)):
-            coeffs = _div_qpow_minus_one(coeffs, d)
-    return QPoly(cp.shift, coeffs)
+    return expand_binomial_form(cp.shift, cp.binomial_exponents())
 
 
 # ---------------------------------------------------------------------------
@@ -359,31 +381,39 @@ def q_int(n: int) -> QPoly:
     return QPoly(0, (1,) * n)
 
 
+def multinomial_exponents(n: int, alpha: Iterable[int]) -> Counter:
+    """The map d -> e_d of [n]_q! / prod [a]_q! for nonnegative alpha summing
+    to n.  [k]_q! = prod_{j<=k} (q**j - 1) / (q - 1)**k, and the (q - 1)
+    powers cancel."""
+    exps = Counter(range(1, n + 1))
+    exps.subtract(j for a in alpha for j in range(1, a + 1))
+    return exps
+
+
 def q_factorial(n: int) -> QPoly:
     if n < 0:
         raise ValueError("q_factorial needs n >= 0")
-    exps = {j: n // j for j in range(2, n + 1)}
-    return expand(CycloProduct(0, exps))
+    return q_multinomial(n, (1,) * n)
 
 
 def q_binomial(n: int, k: int) -> QPoly:
     """Gaussian binomial; zero when k is out of range."""
-    if k < 0 or k > n:
-        return QPoly.zero()
-    exps = {j: n // j - k // j - (n - k) // j for j in range(2, n + 1)}
-    return expand(CycloProduct(0, exps))
+    return q_multinomial(n, (k, n - k))
 
 
 def q_multinomial(n: int, alpha) -> QPoly:
     """[n]_q! / prod [alpha_i]_q!, with the zero convention for negative
     entries; alpha must sum to n otherwise."""
-    alpha = tuple(alpha)
+    return _q_multinomial(n, tuple(alpha))
+
+
+@cache
+def _q_multinomial(n: int, alpha: tuple[int, ...]) -> QPoly:
     if any(a < 0 for a in alpha):
         return QPoly.zero()
     if sum(alpha) != n:
         raise ValueError(f"{alpha} does not sum to {n}")
-    exps = {j: n // j - sum(a // j for a in alpha) for j in range(2, n + 1)}
-    return expand(CycloProduct(0, exps))
+    return expand_binomial_form(0, multinomial_exponents(n, alpha))
 
 
 # ---------------------------------------------------------------------------

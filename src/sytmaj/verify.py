@@ -267,9 +267,9 @@ def _map_maybe_parallel(fn: Callable, items: list, threads: int) -> list:
 
 
 def _aggregate(suite: str, rows: Iterable[tuple[str, bool, str]], per_item: bool = False) -> list[CheckResult]:
-    out = []
-    for name, ok, detail in rows:
-        out.append(CheckResult(suite, name, ok, detail))
+    out = [CheckResult(suite, name, ok, detail) for name, ok, detail in rows]
+    if not out:
+        return [CheckResult(suite, "no cases ran", False)]
     if per_item:
         return out
     bad = [r for r in out if not r.ok]
@@ -416,7 +416,7 @@ def suite_deformed(max_n: int = 8, max_m: int = 6, threads: int = 1) -> list[Che
                     if got != want or not (facts.symmetric and facts.unimodal):
                         bad += 1
                         rows.append((f"p alpha={alpha} k={k}", False, f"{got!r} != {want!r}"))
-    if not bad:
+    if checked and not bad:
         rows.append((f"{checked} deformed checks", True, ""))
     return _aggregate("deformed", rows, per_item=True)
 
@@ -475,7 +475,7 @@ def suite_closed_forms(max_n: int = 6, threads: int = 1) -> list[CheckResult]:
                     if not (okb and okd):
                         bad += 1
                         rows.append((f"({lam})|({mu})", False, f"B ok={okb} D ok={okd}"))
-    if not bad:
+    if checked and not bad:
         rows.append((f"{checked} closed-form checks", True, ""))
     return _aggregate("closed-forms", rows, per_item=True)
 

@@ -90,6 +90,29 @@ def test_argument_errors_exit_2():
     assert run_cli(["fakedeg", "--blocks", "2|3,1", "--m", "2", "--d", "3"]).returncode == 2
     assert run_cli(["deformed", "--alpha", "2,1,1", "--d", "2"]).returncode == 2
     assert run_cli(["enumerate", "--shape", "3,2", "--stats", "bogus"]).returncode == 2
+    for args in (
+        ["fakedeg", "--shape", "2,3"],
+        ["fakedeg", "--shape", "x"],
+        ["fakedeg", "--shape", ""],
+        ["deformed", "--alpha", "2,x", "--d", "1"],
+        ["enumerate", "--shape", "21"],
+        ["poset", "--shape", "7,7,7"],
+        ["support", "--blocks", "|", "--d", "2"],
+    ):
+        proc = run_cli(args)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, args
+
+
+def test_fakedeg_empty_blocks(capsys):
+    assert main(["fakedeg", "--blocks", "|", "--d", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"offset": 0, "coeffs": ["1"]}
+
+
+def test_verify_fails_on_zero_cases(capsys):
+    assert main(["verify", "--suite", "stanley", "--max-n", "0", "--threads", "1"]) == 1
+    assert main(["verify", "--suite", "deformed", "--max-n", "0", "--threads", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "PASS" not in out
 
 
 def test_output_determinism():

@@ -15,10 +15,41 @@ from sytmaj.genfun import (
     syt_count,
     wreath_fake_degree,
 )
-from sytmaj.qpolys import QPoly, divide_exact, expand, q_binomial, q_int, q_multinomial
+from sytmaj.deformed import deformed_multinomial
+from sytmaj.qpolys import (
+    QPoly,
+    divide_exact,
+    divide_exact_int,
+    expand,
+    q_binomial,
+    q_int,
+    q_multinomial,
+    substitute_power,
+)
 from sytmaj.shapes import BlockShape, Partition, parse_blocks, partitions
 from sytmaj.tableaux import DNotDividingM
-from sytmaj.verify import maj_gf_oracle
+from sytmaj.verify import block_shapes, gmdn_gf_oracle, maj_gf_oracle
+
+N83 = "10,8,6,4,2|9,7,5,3,1|6,6,6|5,5"
+
+
+def hook_products_at_power(bs, m):
+    """The blocks' stanley products at q**m, multiplied out one by one."""
+    out = QPoly.one()
+    for b in bs.blocks:
+        if b:
+            out = out * substitute_power(expand(stanley(b)), m)
+    return out
+
+
+def old_block_maj_gf(bs):
+    return q_multinomial(bs.n, bs.alpha()) * hook_products_at_power(bs, 1)
+
+
+def old_gmdn_fake_degree(bs, m, d):
+    """Deformed multinomial times the hook products, over d/|orbit|."""
+    out = deformed_multinomial(bs.alpha(), d) * hook_products_at_power(bs, m)
+    return divide_exact_int(out, d // len(bs.orbit(d)))
 
 
 def test_stanley_examples():
@@ -49,8 +80,6 @@ def test_block_maj_gf():
 
 
 def test_block_maj_gf_matches_enumeration_small():
-    from sytmaj.verify import block_shapes
-
     for n in range(0, 8):
         for m in (1, 2, 3):
             for bs in block_shapes(n, m):
@@ -58,6 +87,19 @@ def test_block_maj_gf_matches_enumeration_small():
     for n in (8, 9, 10):
         for bs in block_shapes(n, 2):
             assert block_maj_gf(bs) == maj_gf_oracle(bs)
+
+
+def test_block_forms_match_multiplied_products():
+    for n in range(0, 7):
+        for m in (1, 2, 3):
+            for bs in block_shapes(n, m):
+                old = old_block_maj_gf(bs)
+                assert block_maj_gf(bs) == old, bs
+                want = substitute_power(old, m).shift(bs.b_alpha())
+                assert wreath_fake_degree(bs, m) == want, bs
+    bs = parse_blocks(N83)
+    want = substitute_power(old_block_maj_gf(bs), 4).shift(bs.b_alpha())
+    assert wreath_fake_degree(bs, 4) == want
 
 
 def test_generalized_binomial():
@@ -197,6 +239,25 @@ def test_gmdn_equals_rotation_sum_quotient():
                 num = num * substitute_power(expand(stanley(b)), m)
         den = substitute_power(QPoly(0, (1,) * d), bs.n * m // d)
         assert gmdn_fake_degree(bs, m, d) == divide_exact(num, den), spec
+
+
+def test_gmdn_matches_deformed_multinomial_product():
+    for n in range(1, 7):
+        for m in range(1, 5):
+            for d in (d for d in range(1, m + 1) if m % d == 0):
+                for bs in block_shapes(n, m):
+                    assert gmdn_fake_degree(bs, m, d) == old_gmdn_fake_degree(bs, m, d), (bs, d)
+    bs = parse_blocks(N83)
+    assert gmdn_fake_degree(bs, 4, 2) == old_gmdn_fake_degree(bs, 4, 2)
+
+
+def test_gmdn_empty_blocks_is_one():
+    # G(m,d,0) is the trivial group; its one irreducible has fake degree 1
+    for shape_str in ("|", "||||"):
+        bs = parse_blocks(shape_str)
+        for d in (d for d in range(1, bs.m + 1) if bs.m % d == 0):
+            assert gmdn_fake_degree(bs, bs.m, d) == QPoly.one()
+            assert gmdn_gf_oracle(bs, bs.m, d) == QPoly.one()
 
 
 def test_gmdn_rotation_invariance():

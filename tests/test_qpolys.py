@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from sytmaj.qpolys import (
     divide_exact,
     divide_exact_int,
     expand,
+    expand_binomial_form,
     q_binomial,
     q_factorial,
     q_int,
@@ -56,6 +59,8 @@ def test_q_analogues():
     assert q_multinomial(3, (4, -1)).is_zero()
     with pytest.raises(ValueError):
         q_multinomial(3, (1, 1))
+    assert q_multinomial(4, iter((2, 2))) == q_binomial(4, 2)
+    assert q_binomial(4, -1).is_zero()
 
 
 def test_multinomial_substituted_power():
@@ -145,6 +150,50 @@ def test_expand_fast_matches_direct():
         for p in partitions(n):
             cp = stanley(p)
             assert expand(cp, "fast") == expand(cp, "direct")
+
+
+def test_expand_fast_matches_direct_on_seeded_large_shapes():
+    rng = random.Random(1809)
+    for n in (30, 35, 40):
+        parts = [n]
+        while max(parts) > 8:  # split the largest part until it is short
+            i = parts.index(max(parts))
+            cut = rng.randint(1, parts[i] - 1)
+            parts[i : i + 1] = [parts[i] - cut, cut]
+        cp = stanley(Partition(sorted(parts, reverse=True)))
+        assert expand(cp) == expand(cp, "direct")
+
+
+# (d, d') with d' | d stands for [d/d'] at q**d' = (q^d - 1)/(q^d' - 1)
+quotient_st = st.integers(min_value=1, max_value=6).flatmap(
+    lambda k: st.integers(min_value=1, max_value=5).map(lambda dp: (k * dp, dp))
+)
+
+
+@given(
+    st.integers(min_value=0, max_value=4),
+    st.lists(quotient_st, max_size=5),
+    st.lists(st.integers(min_value=1, max_value=6), max_size=3),
+)
+def test_binomial_form_matches_products(shift, quotients, extras):
+    exps: dict[int, int] = {}
+    want = QPoly.monomial(shift)
+    for d, dp in quotients:
+        exps[d] = exps.get(d, 0) + 1
+        exps[dp] = exps.get(dp, 0) - 1
+        want = want * substitute_power(q_int(d // dp), dp)
+    for d in extras:
+        exps[d] = exps.get(d, 0) + 1
+        want = want * QPoly.from_terms({0: -1, d: 1})
+    assert expand_binomial_form(shift, exps) == want
+
+
+def test_binomial_form_rejects_non_polynomials():
+    for exps in ({2: 1, 3: -1}, {3: 1, 2: -1}, {1: -1}, {4: 1, 3: 1, 2: -2}, {5: 1, 2: 1, 3: -2}):
+        with pytest.raises(NonzeroRemainder):
+            expand_binomial_form(0, exps)
+    with pytest.raises(ValueError):
+        expand_binomial_form(0, {0: 1})
 
 
 def test_expand_q1_equals_hook_count_to_30():
