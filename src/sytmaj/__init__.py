@@ -99,7 +99,6 @@ from .mutations import (
     strong_cover_moves,
     strong_covers,
     verify_ranked,
-    weak_covers,
 )
 from .zeros import (
     SupportPrediction,

@@ -634,14 +634,15 @@ def poset_ground(p: Partition) -> list[Tableau]:
     return sorted(ground, key=lambda t: (t.maj(), t.row_reading_word()))
 
 
+def _forward_moves(t: Tableau) -> list[Move]:
+    """Rotations and the block rule at t: the strong moves read off t itself."""
+    mv = block_rule(t)
+    return positive_rotations(t) + negative_rotations(t) + ([mv] if mv else [])
+
+
 def strong_cover_moves(t: Tableau) -> list[Move]:
     """Every maj-raising move available at t in the strong order."""
-    moves = positive_rotations(t) + negative_rotations(t)
-    mv = block_rule(t)
-    if mv is not None:
-        moves.append(mv)
-    moves.extend(inverse_transpose_block_moves(t))
-    return moves
+    return _forward_moves(t) + inverse_transpose_block_moves(t)
 
 
 def strong_covers(t: Tableau) -> list[Tableau]:
@@ -654,26 +655,6 @@ def strong_covers(t: Tableau) -> list[Tableau]:
         out = [y for y in out if y not in excl]
     uniq = sorted(set(out), key=lambda y: y.row_reading_word())
     return uniq
-
-
-def weak_covers(ground: list[Tableau], t: Tableau) -> list[Tableau]:
-    """Upper covers of t in the weak order: the image of t under the
-    maj-increment map, plus transposed preimages of t's transpose."""
-    p = t.shape
-    gset = set(ground)
-    out = []
-    if t not in _exceptional(p):
-        y = phi(t)
-        if y in gset:
-            out.append(y)
-    ec = _exceptional(p.conjugate())
-    for y in ground:
-        if y.maj() != t.maj() + 1:
-            continue
-        yt = y.transpose()
-        if yt not in ec and phi(yt).transpose() == t and y not in out:
-            out.append(y)
-    return sorted(out, key=lambda y: y.row_reading_word())
 
 
 @dataclass(frozen=True)
@@ -713,30 +694,39 @@ class SytPoset:
         }
 
 
-def build_poset(p: Partition, flavor: str, limit: int = 20) -> SytPoset:
+def build_poset(p: Partition, flavor: str) -> SytPoset:
+    """The strong or weak order on the ground set of p.
+
+    Each order pairs a forward step with a transposed one: s covers t when
+    the step takes t to s, or takes s' to t'.  The weak step is phi.  The
+    strong forward step is every rotation and the block rule; its transposed
+    step is the block rule alone, so the inverse-transpose block covers come
+    from one forward block rule per conjugate tableau.
+    """
     ground = poset_ground(p)
     index = {t: i for i, t in enumerate(ground)}
-    gset = set(ground)
-    edges: set[tuple[int, int]] = set()
     if flavor == "strong":
-        for i, t in enumerate(ground):
-            for y in strong_covers(t):
-                if y in gset:
-                    edges.add((i, index[y]))
+        def step(t: Tableau) -> list[Tableau]:
+            return [mv.apply(t) for mv in _forward_moves(t)]
+
+        def transposed(u: Tableau) -> list[Tableau]:
+            mv = block_rule(u)
+            return [mv.apply(u)] if mv else []
     elif flavor == "weak":
-        ec = _exceptional(p.conjugate())
-        for i, t in enumerate(ground):
-            if t not in _exceptional(p):
-                y = phi(t)
-                if y in gset:
-                    edges.add((i, index[y]))
-            tt = t.transpose()
-            if tt not in ec:
-                s = phi(tt).transpose()
-                if s in gset:
-                    edges.add((index[s], i))
+        exc, exc_conj = _exceptional(p), _exceptional(p.conjugate())
+
+        def step(t: Tableau) -> list[Tableau]:
+            return [] if t in exc else [phi(t)]
+
+        def transposed(u: Tableau) -> list[Tableau]:
+            return [] if u in exc_conj else [phi(u)]
     else:
         raise ValueError(f"unknown poset flavor {flavor!r}")
+    edges: set[tuple[int, int]] = set()
+    for i, t in enumerate(ground):
+        edges.update((i, index[y]) for y in step(t) if y in index)
+        edges.update((index[s], i) for u in transposed(t.transpose())
+                     if (s := u.transpose()) in index)
     covers: list[list[int]] = [[] for _ in ground]
     for i, j in sorted(edges):
         covers[i].append(j)

@@ -12,8 +12,23 @@ from typing import Iterator
 Cell = tuple[int, int]
 
 
+class _Cells:
+    """Cell lookups shared by the shape types, cached on the shape itself."""
+
+    @cached_property
+    def cell_index(self) -> dict[Cell, int]:
+        return {cell: i for i, cell in enumerate(self.cells)}
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Indices of the cells north and west of each cell, -1 if absent."""
+        index = self.cell_index
+        return (tuple(index.get((r - 1, c), -1) for r, c in self.cells),
+                tuple(index.get((r, c - 1), -1) for r, c in self.cells))
+
+
 @dataclass(frozen=True)
-class Partition:
+class Partition(_Cells):
     """A weakly decreasing tuple of positive integers (possibly empty)."""
 
     parts: tuple[int, ...] = ()
@@ -60,6 +75,13 @@ class Partition:
             for j in range(p):
                 cols[j] += 1
         return Partition(cols)
+
+    @cached_property
+    def transpose_map(self) -> tuple["Partition", tuple[int, ...]]:
+        """The conjugate, and for each of its cells the index of the mirror
+        cell here; cached so that every transposed tableau shares one shape."""
+        conj = self.conjugate()
+        return conj, tuple(self.cell_index[c, r] for r, c in conj.cells)
 
     def contains(self, other: "Partition") -> bool:
         return all(self.part(i) >= other.part(i) for i in range(1, len(other) + 1))
@@ -130,7 +152,7 @@ def corners_and_notches(p: Partition) -> tuple[tuple[Cell, ...], tuple[Cell, ...
 
 
 @dataclass(frozen=True)
-class SkewShape:
+class SkewShape(_Cells):
     """A pair inner <= outer of partitions; cells are the set difference."""
 
     outer: Partition
@@ -164,7 +186,7 @@ class SkewShape:
 
 
 @dataclass(frozen=True)
-class BlockShape:
+class BlockShape(_Cells):
     """Block diagonal skew shape: partitions translated so that the blocks
     occupy disjoint rows and columns, listed top to bottom.
 

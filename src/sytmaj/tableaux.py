@@ -46,13 +46,9 @@ class Tableau:
             raise ValueError(f"filling is not standard: {self.values}")
 
     def _is_standard(self) -> bool:
-        at = self.cell_values()
-        for (r, c), v in at.items():
-            left = at.get((r, c - 1))
-            up = at.get((r - 1, c))
-            if (left is not None and left >= v) or (up is not None and up >= v):
-                return False
-        return True
+        north, west = self.shape.neighbours
+        v = self.values + (0,)  # index -1, an absent neighbour, reads 0
+        return all(v[i] < x and v[j] < x for x, i, j in zip(self.values, north, west))
 
     @property
     def n(self) -> int:
@@ -67,14 +63,8 @@ class Tableau:
 
     def at(self, r: int, c: int) -> int | None:
         """Entry at an absolute cell, or None if the cell is not filled."""
-        try:
-            i = shape_cells(self.shape).index((r, c))
-        except ValueError:
-            return None
-        return self.values[i]
-
-    def cell_values(self) -> dict[Cell, int]:
-        return dict(zip(shape_cells(self.shape), self.values))
+        i = self.shape.cell_index.get((r, c))
+        return None if i is None else self.values[i]
 
     def rows(self) -> list[list[int]]:
         """Filled entries grouped by absolute row, left to right."""
@@ -115,9 +105,8 @@ class Tableau:
     def transpose(self) -> "Tableau":
         if not isinstance(self.shape, Partition):
             raise ValueError("transpose is implemented for straight shapes only")
-        conj = self.shape.conjugate()
-        at = self.cell_values()
-        return Tableau(conj, tuple(at[(c, r)] for r, c in conj.cells), check=False)
+        conj, mirror = self.shape.transpose_map
+        return Tableau(conj, tuple(self.values[i] for i in mirror), check=False)
 
     def to_text(self) -> str:
         return "/".join(",".join(str(v) for v in row) for row in self.rows())
@@ -165,9 +154,7 @@ def enumerate_tableaux(shape: Shape, limit: int = 20) -> Iterator[Tableau]:
     if n == 0:
         yield Tableau(shape, ())
         return
-    index = {cell: i for i, cell in enumerate(cells)}
-    north = tuple(index.get((r - 1, c), -1) for r, c in cells)
-    west = tuple(index.get((r, c - 1), -1) for r, c in cells)
+    north, west = shape.neighbours
     values = [0] * n
 
     def rec(v: int) -> Iterator[Tableau]:

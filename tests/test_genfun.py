@@ -238,7 +238,7 @@ def test_gmdn_equals_rotation_sum_quotient():
             if b:
                 num = num * substitute_power(expand(stanley(b)), m)
         den = substitute_power(QPoly(0, (1,) * d), bs.n * m // d)
-        assert gmdn_fake_degree(bs, m, d) == divide_exact(num, den), spec
+        assert gmdn_fake_degree(bs, m, d) == divide_exact(num, den), (shape_str, m, d)
 
 
 def test_gmdn_matches_deformed_multinomial_product():

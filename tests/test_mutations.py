@@ -1,9 +1,11 @@
+import hashlib
 from math import comb
 
 import pytest
 
 from sytmaj.mutations import (
     ExceptionalTableau,
+    _candidate_block_moves,
     block_rule,
     block_rule_all,
     build_poset,
@@ -16,9 +18,8 @@ from sytmaj.mutations import (
     poset_ground,
     strong_covers,
     verify_ranked,
-    weak_covers,
 )
-from sytmaj.shapes import Partition, b_statistic, partitions
+from sytmaj.shapes import Partition, b_statistic, parse_partition, partitions
 from sytmaj.tableaux import (
     enumerate_tableaux,
     exceptional_set,
@@ -273,6 +274,27 @@ def test_weak_covers_inside_strong_covers():
             assert weak.edge_pairs() <= strong.edge_pairs(), p
 
 
+def weak_covers(ground, t):
+    """Upper covers of t in the weak order, by definition: the image of t
+    under the maj-increment map, plus transposed preimages of t's transpose,
+    found by scanning the whole ground set."""
+    p = t.shape
+    gset = set(ground)
+    out = []
+    if t not in exceptional_set(p):
+        y = phi(t)
+        if y in gset:
+            out.append(y)
+    ec = exceptional_set(p.conjugate())
+    for y in ground:
+        if y.maj() != t.maj() + 1:
+            continue
+        yt = y.transpose()
+        if yt not in ec and phi(yt).transpose() == t and y not in out:
+            out.append(y)
+    return sorted(out, key=lambda y: y.row_reading_word())
+
+
 def test_cover_functions_match_posets():
     p = Partition((3, 2, 1))
     ground = poset_ground(p)
@@ -282,6 +304,42 @@ def test_cover_functions_match_posets():
     for i, t in enumerate(ground):
         assert sorted(index[y] for y in strong_covers(t)) == list(strong.covers[i])
         assert sorted(index[y] for y in weak_covers(ground, t)) == list(weak.covers[i])
+
+
+def test_strong_poset_matches_per_tableau_covers():
+    # build_poset finds inverse-transpose covers by a forward block rule on
+    # each conjugate tableau; strong_covers searches the candidate moves.
+    for n in range(1, 9):
+        for p in partitions(n):
+            poset = build_poset(p, "strong")
+            index = {t: i for i, t in enumerate(poset.elements)}
+            for i, t in enumerate(poset.elements):
+                got = sorted(index[y] for y in strong_covers(t))
+                assert got == list(poset.covers[i]), (p, t.to_text())
+
+
+def test_block_rule_outputs_are_candidates():
+    # The premise of the forward pass: the candidate search sees every move
+    # that block_rule can return.
+    for n in range(1, 10):
+        candidates = set(_candidate_block_moves(n))
+        for p in partitions(n):
+            for t in enumerate_tableaux(p):
+                mv = block_rule(t)
+                assert mv is None or mv in candidates, (p, t.to_text(), mv)
+
+
+@pytest.mark.parametrize("shape, flavor, digest", [
+    ("4,3,2,1", "strong", "e3416e1be9679b47"),
+    ("4,3,2,1", "weak", "ddd0e9321491931a"),
+    ("3,3,3", "strong", "db2af9ee5f2b2ed5"),
+    ("3,3,3", "weak", "f4e957fe2b26d132"),
+    ("5,2,2,1", "strong", "d90a62bb46db8e49"),
+    ("5,2,2,1", "weak", "d1a40d02e9945f5d"),
+])
+def test_poset_dot_golden(shape, flavor, digest):
+    dot = build_poset(parse_partition(shape), flavor).to_dot()
+    assert hashlib.sha256(dot.encode()).hexdigest()[:16] == digest
 
 
 def test_majdes_behavior_of_phi():
