@@ -86,30 +86,12 @@ class Partition(_Cells):
     def contains(self, other: "Partition") -> bool:
         return all(self.part(i) >= other.part(i) for i in range(1, len(other) + 1))
 
-    def arm(self, cell: Cell) -> int:
-        r, c = cell
-        return self.part(r) - c
-
-    def leg(self, cell: Cell) -> int:
-        r, c = cell
-        return self.conjugate().part(c) - r
-
     def is_rectangle(self) -> bool:
         return len(set(self.parts)) <= 1
 
     def is_big_rectangle(self) -> bool:
         """Rectangle with at least two rows and two columns."""
         return self.is_rectangle() and len(self.parts) >= 2 and self.parts[0] >= 2
-
-    def add_cell(self, cell: Cell) -> "Partition":
-        r, c = cell
-        rows = list(self.parts)
-        if r == len(rows) + 1:
-            rows.append(0)
-        if not (1 <= r <= len(rows)) or rows[r - 1] + 1 != c:
-            raise ValueError(f"{cell} is not an addable cell of {self}")
-        rows[r - 1] += 1
-        return Partition(rows)
 
 
 def hook_lengths(p: Partition) -> dict[Cell, int]:
@@ -231,12 +213,13 @@ class BlockShape(_Cells):
     def cells(self) -> tuple[Cell, ...]:
         return tuple(sorted(c for cells in block_coordinates(self) for c in cells))
 
+    @cached_property
+    def _block_index(self) -> dict[Cell, int]:
+        return {c: j for j, cells in enumerate(block_coordinates(self), 1) for c in cells}
+
     def block_of_cell(self, cell: Cell) -> int:
         """1-based index of the block containing an absolute cell."""
-        for j, cells in enumerate(block_coordinates(self), 1):
-            if cell in cells:
-                return j
-        raise KeyError(cell)
+        return self._block_index[cell]
 
     def rotate(self, steps: int) -> "BlockShape":
         """Right-rotate the block sequence by `steps` positions."""
@@ -294,10 +277,6 @@ Shape = Partition | SkewShape | BlockShape
 
 def shape_cells(shape: Shape) -> tuple[Cell, ...]:
     return shape.cells
-
-
-def shape_size(shape: Shape) -> int:
-    return shape.n
 
 
 def parse_partition(text: str) -> Partition:

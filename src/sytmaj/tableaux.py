@@ -216,9 +216,8 @@ def _outer_horizontal_strip(p: Partition) -> list[Cell]:
 
 def maxmaj_tableau(p: Partition) -> Tableau:
     """Fill successive outermost maximal vertical strips with the largest
-    remaining values, bottom to top within each strip."""
-    if not p:
-        raise ValueError("shape must be nonempty")
+    remaining values, bottom to top within each strip; on the empty shape,
+    the empty filling."""
     fill: dict[Cell, int] = {}
     rows = list(p.parts)
     v = p.n
@@ -233,9 +232,8 @@ def maxmaj_tableau(p: Partition) -> Tableau:
 
 def minmaj_tableau(p: Partition) -> Tableau:
     """Fill successive outermost maximal horizontal strips with the largest
-    remaining values, right to left within each strip."""
-    if not p:
-        raise ValueError("shape must be nonempty")
+    remaining values, right to left within each strip; on the empty shape,
+    the empty filling."""
     fill: dict[Cell, int] = {}
     rows = list(p.parts)
     v = p.n

@@ -64,6 +64,14 @@ def test_poset_outputs(capsys):
     assert len(adj) == 5
 
 
+def test_poset_empty_shape(capsys):
+    outs = []
+    for order in ("strong", "weak"):
+        assert main(["poset", "--shape", "", "--order", order]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].count("[maj=0]") == 1
+
+
 def test_verify_suite(capsys):
     assert main(["verify", "--suite", "regression", "--threads", "1"]) == 0
     out = capsys.readouterr().out

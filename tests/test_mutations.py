@@ -342,6 +342,12 @@ def test_poset_dot_golden(shape, flavor, digest):
     assert hashlib.sha256(dot.encode()).hexdigest()[:16] == digest
 
 
+def test_empty_shape_poset_has_one_node():
+    for flavor in ("strong", "weak"):
+        poset = build_poset(Partition(), flavor)
+        assert len(poset.elements) == 1 and poset.covers == ((),), flavor
+
+
 def test_majdes_behavior_of_phi():
     # rotations raise maj-des, block moves fix it; phi covers both
     for p in (Partition((3, 2)), Partition((2, 2, 1)), Partition((4, 3, 1))):

@@ -90,6 +90,14 @@ def test_block_coordinates_examples():
     assert coords[1] == [(3, 4), (4, 4)]
 
 
+def test_block_of_cell():
+    bs = parse_blocks("3,2|1,1||3")
+    for j, cells in enumerate(block_coordinates(bs), 1):
+        assert all(bs.block_of_cell(c) == j for c in cells)
+    with pytest.raises(KeyError):
+        bs.block_of_cell((1, 1))
+
+
 def test_block_shape_with_empty_blocks():
     bs = parse_blocks("|3,3")
     assert bs.m == 2 and bs.n == 6
