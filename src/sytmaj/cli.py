@@ -25,20 +25,8 @@ def _json_out(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _poly_text(p: QPoly) -> str:
-    if p.is_zero():
-        return "0"
-    terms = []
-    for i, c in enumerate(p.coeffs):
-        if c:
-            k = p.offset + i
-            q = "1" if k == 0 else ("q" if k == 1 else f"q^{k}")
-            terms.append(q if c == 1 and k else (str(c) if k == 0 else f"{c}*{q}"))
-    return " + ".join(terms)
-
-
 def _emit_poly(p: QPoly, fmt: str) -> None:
-    print(p.to_json_str() if fmt == "json" else _poly_text(p))
+    print(p.to_json_str() if fmt == "json" else str(p))
 
 
 def _shape_args(parser: argparse.ArgumentParser, need_md: bool = True) -> None:

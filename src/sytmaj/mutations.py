@@ -3,6 +3,12 @@ and the strong/weak ranked poset structures they induce.
 
 All moves act on straight-shape standard tableaux by permuting values; a
 forward move raises the major index by exactly one.
+
+`build_poset` keys its nodes by their value tuples.  A cover is the move's
+permutation applied to a node's values plus one dict lookup, so no Tableau
+is built per cover.  The ground set is every standard filling minus, for a
+big rectangle, the two extremes, so a lookup that misses and is not one of
+those two is a filling the move left non-standard, and it raises.
 """
 from __future__ import annotations
 
@@ -70,117 +76,116 @@ def _negative_move(i: int, k: int, j: int) -> Move:
 
 # ---------------------------------------------------------------------------
 # rotation rules
+#
+# The scans read each value's row and column from two arrays indexed by
+# value.  Entries 0 and n+1 hold the sentinel 0, which no cell has, so the
+# values just outside 1..n lie in no rectangle.
 
 
-def _h_pair(t: Tableau, v: int) -> bool:
-    """Values v, v+1 lie in a common horizontal strip."""
-    (r1, c1), (r2, c2) = t.pos(v), t.pos(v + 1)
-    return c2 > c1 and r2 <= r1
+def _value_coordinates(t: Tableau) -> tuple[list[int], list[int]]:
+    """Row and column of every value, with the sentinel 0 at 0 and n+1."""
+    rows, cols = [0] * (t.n + 2), [0] * (t.n + 2)
+    for (r, c), v in zip(t.shape.cells, t.values):
+        rows[v] = r
+        cols[v] = c
+    return rows, cols
 
 
-def _v_pair(t: Tableau, v: int) -> bool:
-    """Values v, v+1 lie in a common vertical strip."""
-    (r1, c1), (r2, c2) = t.pos(v), t.pos(v + 1)
-    return r2 > r1 and c2 <= c1
-
-
-def _in_rect(t: Tableau, v: int, a: int, b: int) -> bool:
+def _in_rect(rows: list[int], cols: list[int], v: int, a: int, b: int) -> bool:
     """Is value v inside the closed cell-rectangle spanned by values a, b?"""
-    if not 1 <= v <= t.n:
-        return False
-    (ra, ca), (rb, cb) = t.pos(a), t.pos(b)
-    r, c = t.pos(v)
-    return min(ra, rb) <= r <= max(ra, rb) and min(ca, cb) <= c <= max(ca, cb)
+    r, ra, rb = rows[v], rows[a], rows[b]
+    c, ca, cb = cols[v], cols[a], cols[b]
+    return (ra <= r <= rb or rb <= r <= ra) and (ca <= c <= cb or cb <= c <= ca)
 
 
-def _strictly_ne(t: Tableau, v: int, w: int) -> bool:
-    (rv, cv), (rw, cw) = t.pos(v), t.pos(w)
-    return rv < rw and cv > cw
+def _positive_rotations(rows: list[int], cols: list[int]) -> list[Move]:
+    n = len(rows) - 2
+    moves = []
+    for j in range(2, n + 1):
+        # j-1, j in a common vertical strip
+        if not (rows[j] > rows[j - 1] and cols[j] <= cols[j - 1]):
+            continue
+        lefts = [j, j - 1]
+        i = j - 1
+        # i-1, i in a common horizontal strip
+        while i >= 2 and cols[i] > cols[i - 1] and rows[i] <= rows[i - 1]:
+            i -= 1
+            lefts.append(i)
+        last = j
+        while last < n and cols[last + 1] > cols[last] and rows[last + 1] <= rows[last]:
+            last += 1
+        # the right end k alone decides its condition: k strictly north-east
+        # of k-1 with k+1 outside their rectangle, or k = j with k+1 inside
+        rights = [k for k in range(j, last + 1) if (
+            rows[k] < rows[k - 1] and cols[k] > cols[k - 1]
+            and not _in_rect(rows, cols, k + 1, k, k - 1)
+            if j < k else _in_rect(rows, cols, k + 1, k, k - 1))]
+        for i in lefts:
+            for k in rights:
+                if i >= k:
+                    continue
+                if i < j:  # i strictly north-east of k, i-1 outside their rectangle
+                    if not (rows[i] < rows[k] and cols[i] > cols[k]) \
+                            or _in_rect(rows, cols, i - 1, i, k):
+                        continue
+                elif not _in_rect(rows, cols, i - 1, i, k):
+                    continue
+                moves.append(_positive_move(i, k, j))
+    return moves
 
 
-def _strictly_sw(t: Tableau, v: int, w: int) -> bool:
-    (rv, cv), (rw, cw) = t.pos(v), t.pos(w)
-    return rv > rw and cv < cw
+def _negative_rotations(rows: list[int], cols: list[int]) -> list[Move]:
+    n = len(rows) - 2
+    moves = []
+    for j in range(1, n):
+        # j, j+1 in a common horizontal strip
+        if not (cols[j + 1] > cols[j] and rows[j + 1] <= rows[j]):
+            continue
+        first = j
+        # first-1, first in a common vertical strip
+        while first >= 2 and rows[first] > rows[first - 1] and cols[first] <= cols[first - 1]:
+            first -= 1
+        # the left end i alone decides its condition: i+1 strictly south-west
+        # of i with i-1 outside their rectangle, or i = j with i-1 inside
+        lefts = [i for i in range(j, first - 1, -1) if (
+            rows[i + 1] > rows[i] and cols[i + 1] < cols[i]
+            and not _in_rect(rows, cols, i - 1, i, i + 1)
+            if i < j else _in_rect(rows, cols, i - 1, i, i + 1))]
+        rights = [j, j + 1]
+        k = j + 1
+        while k < n and rows[k + 1] > rows[k] and cols[k + 1] <= cols[k]:
+            k += 1
+            rights.append(k)
+        for i in lefts:
+            for k in rights:
+                if i >= k:
+                    continue
+                if j < k:  # i strictly south-west of k, k+1 outside their rectangle
+                    if not (rows[i] > rows[k] and cols[i] < cols[k]) \
+                            or _in_rect(rows, cols, k + 1, i, k):
+                        continue
+                elif not _in_rect(rows, cols, k + 1, i, k):
+                    continue
+                moves.append(_negative_move(i, k, j))
+    return moves
 
 
 def positive_rotations(t: Tableau) -> list[Move]:
     """All intervals whose forward cycle raises maj by one: the moving
     descent j slides from j-1, with horizontal strips on both sides and
     bounding-rectangle conditions at the ends."""
-    n = t.n
-    moves = []
-    for j in range(2, n + 1):
-        if not _v_pair(t, j - 1):
-            continue
-        lefts = [j, j - 1]
-        i = j - 1
-        while i >= 2 and _h_pair(t, i - 1):
-            i -= 1
-            lefts.append(i)
-        rights = [j]
-        k = j
-        while k + 1 <= n and _h_pair(t, k):
-            k += 1
-            rights.append(k)
-        for i in lefts:
-            for k in rights:
-                if i >= k:
-                    continue
-                if i < j:
-                    if not _strictly_ne(t, i, k) or _in_rect(t, i - 1, i, k):
-                        continue
-                elif not _in_rect(t, i - 1, i, k):
-                    continue
-                if j < k:
-                    if not _strictly_ne(t, k, k - 1) or _in_rect(t, k + 1, k, k - 1):
-                        continue
-                elif not _in_rect(t, k + 1, k, k - 1):
-                    continue
-                moves.append(_positive_move(i, k, j))
-    return moves
+    return _positive_rotations(*_value_coordinates(t))
 
 
 def negative_rotations(t: Tableau) -> list[Move]:
     """All intervals whose backward cycle raises maj by one; the mirror of
     the positive conditions, with vertical strips on both sides."""
-    n = t.n
-    moves = []
-    for j in range(1, n):
-        if not _h_pair(t, j):
-            continue
-        lefts = [j]
-        i = j
-        while i >= 2 and _v_pair(t, i - 1):
-            i -= 1
-            lefts.append(i)
-        rights = [j, j + 1]
-        k = j + 1
-        while k + 1 <= n and _v_pair(t, k):
-            k += 1
-            rights.append(k)
-        for i in lefts:
-            for k in rights:
-                if i >= k:
-                    continue
-                if i < j:
-                    if not _strictly_sw(t, i + 1, i) or _in_rect(t, i - 1, i, i + 1):
-                        continue
-                elif not _in_rect(t, i - 1, i, i + 1):
-                    continue
-                if j < k:
-                    if not _strictly_sw(t, i, k) or _in_rect(t, k + 1, i, k):
-                        continue
-                elif not _in_rect(t, k + 1, i, k):
-                    continue
-                moves.append(_negative_move(i, k, j))
-    return moves
+    return _negative_rotations(*_value_coordinates(t))
 
 
 def _find_rotation(t: Tableau, i: int, k: int) -> Move | None:
-    for mv in positive_rotations(t):
-        if mv.interval == (i, k):
-            return mv
-    for mv in negative_rotations(t):
+    coords = _value_coordinates(t)
+    for mv in _positive_rotations(*coords) + _negative_rotations(*coords):
         if mv.interval == (i, k):
             return mv
     return None
@@ -432,39 +437,33 @@ def _prefix_rows(t: Tableau, z: int) -> list[int]:
     return [rows.get(r, 0) for r in range(1, max(rows) + 1)]
 
 
-def _peel_chunks(t: Tableau, z: int) -> list[tuple[int, ...]] | None:
-    """Decompose the first z values as successive outermost vertical strips
-    read from outside in, the first possibly cut to a top segment; None if
-    the values are not an initial piece of any max-maj filling."""
-    rows = _prefix_rows(t, z)
-    chunks: list[tuple[int, ...]] = []
-    v = z
-    first = True
-    while v > 0:
-        top = t.pos(v)[0] if first else len(rows)
-        if top > len(rows):
-            return None
-        chunk = []
-        for row in range(top, 0, -1):
-            if v < 1 or t.pos(v) != (row, rows[row - 1]):
-                return None
-            chunk.append(v)
-            rows[row - 1] -= 1
-            v -= 1
-        while rows and rows[-1] == 0:
-            rows.pop()
-        chunks.append(tuple(chunk))
-        first = False
-    return chunks
-
-
 def _maxmaj_prefix(t: Tableau) -> tuple[int, list[tuple[int, ...]]]:
-    """Largest z whose initial values extend to a max-maj filling."""
-    for z in range(t.n, 0, -1):
-        chunks = _peel_chunks(t, z)
-        if chunks is not None:
-            return z, chunks
-    raise PhiBranchError("no max-maj prefix; tableau is not standard")
+    """Largest z whose initial values extend to a max-maj filling, and those
+    values cut into chunks: successive outermost vertical strips read from
+    outside in, each from its bottom value up, the first possibly cut to a
+    top segment.
+
+    One scan up from z = 1, where the value 1 is a chunk by itself.  Value
+    z+1 extends a valid prefix exactly when it sits one row below z, at the
+    bottom of the first chunk, or in row 1 with the first chunk reaching
+    the prefix's lowest row, where it starts a new chunk.  The scan stops
+    at the first value that does neither: dropping the largest value of a
+    valid prefix leaves a valid one, so no longer prefix is valid.
+    """
+    if t.n == 0 or t.row_of(1) != 1:
+        raise PhiBranchError("no max-maj prefix; tableau is not standard")
+    strips = [[1]]  # innermost first, each from its top value down
+    lowest = prev = 1
+    for v in range(2, t.n + 1):
+        r = t.row_of(v)
+        if r == prev + 1:
+            strips[-1].append(v)
+        elif r == 1 and prev == lowest:
+            strips.append([v])
+        else:
+            break
+        prev, lowest = r, max(lowest, r)
+    return strips[-1][-1], [tuple(reversed(s)) for s in reversed(strips)]
 
 
 def _negrot_from_prefix(t: Tableau) -> Move:
@@ -636,8 +635,9 @@ def poset_ground(p: Partition) -> list[Tableau]:
 
 def _forward_moves(t: Tableau) -> list[Move]:
     """Rotations and the block rule at t: the strong moves read off t itself."""
+    coords = _value_coordinates(t)
     mv = block_rule(t)
-    return positive_rotations(t) + negative_rotations(t) + ([mv] if mv else [])
+    return _positive_rotations(*coords) + _negative_rotations(*coords) + ([mv] if mv else [])
 
 
 def strong_cover_moves(t: Tableau) -> list[Move]:
@@ -702,31 +702,63 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
     strong forward step is every rotation and the block rule; its transposed
     step is the block rule alone, so the inverse-transpose block covers come
     from one forward block rule per conjugate tableau.
+
+    Every step is a value permutation, and permuting values commutes with
+    transposition, so both steps land on permuted values of t itself, looked
+    up by value tuple (see the module docstring).  A miss that is not an
+    excluded extreme raises as Move.apply does, or as phi does in the weak
+    order, where every edge is also checked to raise maj by one.
     """
     ground = poset_ground(p)
-    index = {t: i for i, t in enumerate(ground)}
+    index = {t.values: i for i, t in enumerate(ground)}
+    majs = [t.maj() for t in ground]
+    outside = {e.values: e.maj() for e in (minmaj_tableau(p), maxmaj_tableau(p))} \
+        if p.is_big_rectangle() else {}
     if flavor == "strong":
-        def step(t: Tableau) -> list[Tableau]:
-            return [mv.apply(t) for mv in _forward_moves(t)]
+        fault, check_maj = ValueError, False
+        step = _forward_moves
 
-        def transposed(u: Tableau) -> list[Tableau]:
+        def transposed(u: Tableau) -> list[Move]:
             mv = block_rule(u)
-            return [mv.apply(u)] if mv else []
+            return [mv] if mv else []
     elif flavor == "weak":
-        exc, exc_conj = _exceptional(p), _exceptional(p.conjugate())
+        fault, check_maj = PhiBranchError, True
+        exc = {e.values for e in _exceptional(p)}
+        exc_conj = {e.values for e in _exceptional(p.transpose_map[0])}
 
-        def step(t: Tableau) -> list[Tableau]:
-            return [] if t in exc else [phi(t)]
+        def step(t: Tableau) -> list[Move]:
+            return [] if t.values in exc else [phi_move(t)]
 
-        def transposed(u: Tableau) -> list[Tableau]:
-            return [] if u in exc_conj else [phi(u)]
+        def transposed(u: Tableau) -> list[Move]:
+            return [] if u.values in exc_conj else [phi_move(u)]
     else:
         raise ValueError(f"unknown poset flavor {flavor!r}")
+
+    def land(i: int, mv: Move, source: Tableau, rise: int) -> int | None:
+        """Index of the node mv takes ground[i] to, None for an excluded
+        extreme.  `source` is the tableau the move acts on: ground[i]
+        (rise 1) or its transpose (rise -1), whose maj is C(n,2) less
+        ground[i]'s, so the move must change ground[i]'s maj by `rise`."""
+        values = ground[i].values
+        perm = mv.permutation()
+        key = tuple(map(perm.get, values, values))
+        j = index.get(key)
+        maj = majs[j] if j is not None else outside.get(key)
+        if maj is None:
+            raise fault(f"{mv} broke standardness on {source.to_text()}")
+        if check_maj and rise * (maj - majs[i]) != 1:
+            raise fault(f"{mv} changed maj by {rise * (maj - majs[i])} on {source.to_text()}")
+        return j
+
     edges: set[tuple[int, int]] = set()
     for i, t in enumerate(ground):
-        edges.update((i, index[y]) for y in step(t) if y in index)
-        edges.update((index[s], i) for u in transposed(t.transpose())
-                     if (s := u.transpose()) in index)
+        for mv in step(t):
+            if (j := land(i, mv, t, 1)) is not None:
+                edges.add((i, j))
+        u = t.transpose()
+        for mv in transposed(u):
+            if (j := land(i, mv, u, -1)) is not None:
+                edges.add((j, i))
     covers: list[list[int]] = [[] for _ in ground]
     for i, j in sorted(edges):
         covers[i].append(j)

@@ -142,16 +142,20 @@ class QPoly:
             return self
         return QPoly(self.offset + k, self.coeffs)
 
-    def __repr__(self) -> str:
+    def __str__(self) -> str:
+        """The terms in ascending degree, e.g. "q^2 + 2*q^3"; "0" for zero."""
         if self.is_zero():
-            return "QPoly(0)"
+            return "0"
         terms = []
         for i, c in enumerate(self.coeffs):
             if c:
                 k = self.offset + i
                 base = "1" if k == 0 else ("q" if k == 1 else f"q^{k}")
                 terms.append(base if c == 1 and k else (str(c) if k == 0 else f"{c}*{base}"))
-        return "QPoly(" + " + ".join(terms) + ")"
+        return " + ".join(terms)
+
+    def __repr__(self) -> str:
+        return f"QPoly({self})"
 
     def to_json(self) -> dict:
         return {"offset": self.offset, "coeffs": [str(c) for c in self.coeffs]}

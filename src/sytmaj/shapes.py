@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Iterator
 
 Cell = tuple[int, int]
@@ -240,7 +241,10 @@ class BlockShape(_Cells):
         return tuple(out)
 
     def hook_sum(self) -> int:
-        return sum(sum(hook_lengths(b).values()) for b in self.blocks)
+        """Sum of every hook length over the blocks.  For one block it is
+        b(lambda) + b(lambda') + |lambda|, and b(lambda') + |lambda| is the
+        sum of C(lambda_i + 1, 2) over the rows."""
+        return sum(b_statistic(b) + sum(comb(p + 1, 2) for p in b.parts) for b in self.blocks)
 
     def b_blocks(self) -> int:
         """Sum of b(lambda^(i)) over the blocks."""
@@ -273,10 +277,6 @@ def block_coordinates(bs: BlockShape) -> list[list[Cell]]:
 
 
 Shape = Partition | SkewShape | BlockShape
-
-
-def shape_cells(shape: Shape) -> tuple[Cell, ...]:
-    return shape.cells
 
 
 def parse_partition(text: str) -> Partition:

@@ -9,7 +9,6 @@ from .shapes import (
     Partition,
     Shape,
     b_composition,
-    shape_cells,
 )
 
 
@@ -31,14 +30,15 @@ class Tableau:
 
     def __init__(self, shape: Shape, values, check: bool = True):
         self.shape = shape
-        self.values = tuple(values)
-        pos = [None] * len(self.values)
-        cells = shape_cells(shape)
-        if len(cells) != len(self.values):
+        self.values = values = tuple(values)
+        cells = shape.cells
+        n = len(cells)
+        if len(values) != n:
             raise ValueError("value count does not match shape size")
-        for cell, v in zip(cells, self.values):
-            if not (1 <= v <= len(cells)) or pos[v - 1] is not None:
-                raise ValueError(f"values must be a bijection onto 1..{len(cells)}")
+        if set(values) != set(range(1, n + 1)):
+            raise ValueError(f"values must be a bijection onto 1..{n}")
+        pos = [None] * n
+        for cell, v in zip(cells, values):
             pos[v - 1] = cell
         self._pos = tuple(pos)
         self._hash = None
@@ -69,7 +69,7 @@ class Tableau:
     def rows(self) -> list[list[int]]:
         """Filled entries grouped by absolute row, left to right."""
         out: dict[int, list[int]] = {}
-        for (r, _), v in zip(shape_cells(self.shape), self.values):
+        for (r, _), v in zip(self.shape.cells, self.values):
             out.setdefault(r, []).append(v)
         return [out[r] for r in sorted(out)]
 
@@ -118,12 +118,12 @@ class Tableau:
         return (
             isinstance(other, Tableau)
             and self.values == other.values
-            and shape_cells(self.shape) == shape_cells(other.shape)
+            and self.shape.cells == other.shape.cells
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((shape_cells(self.shape), self.values))
+            self._hash = hash((self.shape.cells, self.values))
         return self._hash
 
     def __repr__(self) -> str:
@@ -147,8 +147,7 @@ def descent_set(t: Tableau) -> frozenset[int]:
 def enumerate_tableaux(shape: Shape, limit: int = 20) -> Iterator[Tableau]:
     """Stream every standard filling exactly once, in the deterministic
     order given by value-ascending backtracking with cells tried row-major."""
-    cells = shape_cells(shape)
-    n = len(cells)
+    n = len(shape.cells)
     if n > limit:
         raise BoundExceeded(f"shape has {n} cells, bound is {limit}")
     if n == 0:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 from sytmaj.cli import main
+from sytmaj.qpolys import QPoly
 
 
 def run_cli(args):
@@ -28,9 +29,14 @@ def test_fakedeg_blocks(capsys):
 
 
 def test_fakedeg_text_format(capsys):
+    # Text output is str(QPoly), and repr wraps the same terms.
     assert main(["fakedeg", "--shape", "4,2", "--format", "text"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert out == "q^2 + q^3 + 2*q^4 + q^5 + 2*q^6 + q^7 + q^8"
+    assert capsys.readouterr().out == "q^2 + q^3 + 2*q^4 + q^5 + 2*q^6 + q^7 + q^8\n"
+    assert main(["deformed", "--alpha", "2,1,1", "--d", "1", "--format", "text"]) == 0
+    assert capsys.readouterr().out == "q^3 + 2*q^6 + 3*q^9 + 3*q^12 + 2*q^15 + q^18\n"
+    assert str(QPoly.zero()) == "0" and repr(QPoly.zero()) == "QPoly(0)"
+    signed = QPoly(0, [3, -1, 0, 1])
+    assert str(signed) == "3 + -1*q + q^3" and repr(signed) == "QPoly(3 + -1*q + q^3)"
 
 
 def test_deformed(capsys):

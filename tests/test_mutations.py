@@ -3,9 +3,13 @@ from math import comb
 
 import pytest
 
+from sytmaj import mutations
 from sytmaj.mutations import (
     ExceptionalTableau,
+    Move,
+    PhiBranchError,
     _candidate_block_moves,
+    _maxmaj_prefix,
     block_rule,
     block_rule_all,
     build_poset,
@@ -346,6 +350,92 @@ def test_empty_shape_poset_has_one_node():
     for flavor in ("strong", "weak"):
         poset = build_poset(Partition(), flavor)
         assert len(poset.elements) == 1 and poset.covers == ((),), flavor
+
+
+def prefix_rows(t, z):
+    rows = {}
+    for v in range(1, z + 1):
+        r = t.row_of(v)
+        rows[r] = rows.get(r, 0) + 1
+    return [rows.get(r, 0) for r in range(1, max(rows) + 1)]
+
+
+def peel_chunks(t, z):
+    """The first z values as outermost vertical strips, outside in, the
+    first cut to a top segment; None if they do not peel that way."""
+    rows = prefix_rows(t, z)
+    chunks = []
+    v = z
+    first = True
+    while v > 0:
+        top = t.pos(v)[0] if first else len(rows)
+        if top > len(rows):
+            return None
+        chunk = []
+        for row in range(top, 0, -1):
+            if v < 1 or t.pos(v) != (row, rows[row - 1]):
+                return None
+            chunk.append(v)
+            rows[row - 1] -= 1
+            v -= 1
+        while rows and rows[-1] == 0:
+            rows.pop()
+        chunks.append(tuple(chunk))
+        first = False
+    return chunks
+
+
+def maxmaj_prefix_oracle(t):
+    """Peel every prefix from z = n down and keep the first that peels."""
+    for z in range(t.n, 0, -1):
+        chunks = peel_chunks(t, z)
+        if chunks is not None:
+            return z, chunks
+    raise AssertionError("no max-maj prefix")
+
+
+def test_maxmaj_prefix_matches_downward_peel():
+    for n in range(1, 11):
+        for p in partitions(n):
+            for t in enumerate_tableaux(p):
+                assert _maxmaj_prefix(t) == maxmaj_prefix_oracle(t), t.to_text()
+
+
+# Swapping 1 and 2 never leaves a standard filling; the empty cycle set
+# leaves the values, and so maj, as they are.
+SWAP_1_2 = Move("B1", ((1, 2),))
+IDENTITY = Move("B1", ())
+
+
+@pytest.mark.parametrize("shape", ["3,2,1", "3,3"])
+@pytest.mark.parametrize("target", ["_forward_moves", "block_rule"])
+def test_strong_poset_raises_on_nonstandard_move(monkeypatch, shape, target):
+    fake = (lambda t: [SWAP_1_2]) if target == "_forward_moves" else (lambda t: SWAP_1_2)
+    monkeypatch.setattr(mutations, target, fake)
+    with pytest.raises(ValueError, match="broke standardness"):
+        build_poset(parse_partition(shape), "strong")
+
+
+@pytest.mark.parametrize("shape", ["3,2,1", "3,3"])
+@pytest.mark.parametrize("move, why", [
+    (SWAP_1_2, "broke standardness"),
+    (IDENTITY, "changed maj by 0"),
+])
+def test_weak_poset_raises_on_broken_phi_move(monkeypatch, shape, move, why):
+    monkeypatch.setattr(mutations, "phi_move", lambda t: move)
+    with pytest.raises(PhiBranchError, match=why):
+        build_poset(parse_partition(shape), "weak")
+
+
+def test_weak_poset_checks_transposed_phi_moves(monkeypatch):
+    # phi_move is right on straight tableaux of p and wrong on the conjugate
+    # shape, so only the transposed step can raise.
+    p = parse_partition("4,2")
+    real = mutations.phi_move
+    monkeypatch.setattr(mutations, "phi_move",
+                        lambda t: real(t) if t.shape == p else IDENTITY)
+    with pytest.raises(PhiBranchError, match="changed maj by 0"):
+        build_poset(p, "weak")
 
 
 def test_majdes_behavior_of_phi():

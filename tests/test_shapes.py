@@ -98,6 +98,17 @@ def test_block_of_cell():
         bs.block_of_cell((1, 1))
 
 
+def test_hook_sum_closed_form():
+    # hook_sum reads b(lambda) + b(lambda') + |lambda| per block; the oracle
+    # adds up the hook lengths.
+    for n in range(13):
+        for p in partitions(n):
+            assert BlockShape((p,)).hook_sum() == sum(hook_lengths(p).values()), p
+    for text in ("2|3,1", "|3,3", "4,2,1||1,1|5", "|"):
+        bs = parse_blocks(text)
+        assert bs.hook_sum() == sum(sum(hook_lengths(b).values()) for b in bs.blocks), text
+
+
 def test_block_shape_with_empty_blocks():
     bs = parse_blocks("|3,3")
     assert bs.m == 2 and bs.n == 6

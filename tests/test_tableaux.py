@@ -66,6 +66,16 @@ def test_tableau_validation_and_text():
     assert t.to_json() == {"shape": "3,2,1", "rows": [[1, 2, 4], [3, 6], [5]]}
 
 
+def test_tableau_rejects_non_bijections():
+    p = Partition((2, 1))
+    for values in ((1, 1, 2), (0, 1, 2), (1, 2, 4)):
+        with pytest.raises(ValueError, match=r"^values must be a bijection onto 1\.\.3$"):
+            Tableau(p, values)
+    with pytest.raises(ValueError, match="^value count does not match shape size$"):
+        Tableau(p, (1, 2))
+    assert Tableau(p, (1, 2, 3)).values == (1, 2, 3)
+
+
 def test_enumerate_counts():
     assert count_tableaux(Partition((4, 2))) == 9
     assert count_tableaux(Partition((1, 1, 1))) == 1
