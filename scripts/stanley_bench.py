@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time expand(stanley(p)) on staircase-like shapes of growing size.
 
-Each expansion is the Moebius conversion of the cancelled cyclotomic product
-to (q^d - 1) exponents, then the half-plus-mirror kernel expand_binomial_form.
+stanley(p) is the (q^d - 1) exponent map e_d = [d <= n] - #{hooks = d}, and
+expand is the half-plus-mirror kernel that multiplies it out.
 The q=1 value is checked against the hook-length count.  The benchmark with
 bounds and output checks is bench/run.py.
 

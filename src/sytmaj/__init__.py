@@ -21,15 +21,12 @@ from .shapes import (
     partitions,
 )
 from .qpolys import (
-    CycloProduct,
-    NegativeExponent,
+    BinomialForm,
     NonzeroRemainder,
     QPoly,
-    cyclotomic_polynomial,
     divide_exact,
     divide_exact_int,
     expand,
-    expand_binomial_form,
     q_binomial,
     q_factorial,
     q_int,
@@ -57,10 +54,8 @@ from .tableaux import (
     word_inv,
 )
 from .genfun import (
-    HProfile,
     block_maj_gf,
     coefficient_via_H,
-    count_T,
     generalized_binomial,
     gmdn_fake_degree,
     mahonian_count,
@@ -69,7 +64,6 @@ from .genfun import (
     wreath_fake_degree,
 )
 from .deformed import (
-    CyclicComposition,
     composition_degree,
     deformed_binomial,
     deformed_multinomial,

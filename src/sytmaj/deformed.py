@@ -9,8 +9,6 @@ Compositions are 1-based: b(alpha) = sum (i-1) alpha_i.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .qpolys import QPoly, divide_exact, q_binomial, q_multinomial, substitute_power
 from .shapes import b_composition
 from .tableaux import DNotDividingM
@@ -136,36 +134,3 @@ def composition_degree(alpha) -> int:
     n = sum(alpha)
     return n * (n - 1) // 2 - sum(a * (a - 1) // 2 for a in alpha)
 
-
-@dataclass(frozen=True)
-class CyclicComposition:
-    """A weak composition together with its rotation class of order d."""
-
-    alpha: tuple[int, ...]
-    d: int
-
-    def __init__(self, alpha, d: int):
-        alpha = tuple(int(a) for a in alpha)
-        if any(a < 0 for a in alpha):
-            raise ValueError(f"entries must be nonnegative: {alpha}")
-        if d <= 0 or len(alpha) % d:
-            raise DNotDividingM(f"d={d} does not divide m={len(alpha)}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "d", d)
-
-    @property
-    def m(self) -> int:
-        return len(self.alpha)
-
-    @property
-    def n(self) -> int:
-        return sum(self.alpha)
-
-    def orbit(self) -> list[tuple[int, ...]]:
-        return rotation_class(self.alpha, self.d)
-
-    def degree(self) -> int:
-        return composition_degree(self.alpha)
-
-    def deformed(self) -> QPoly:
-        return deformed_multinomial(self.alpha, self.d)

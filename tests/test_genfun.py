@@ -1,13 +1,14 @@
 from collections import Counter
+from dataclasses import dataclass
 from math import comb
 
 import pytest
 
 from sytmaj.genfun import (
-    HProfile,
+    _distinct_large_parts,
+    _hook_form,
     block_maj_gf,
     coefficient_via_H,
-    count_T,
     generalized_binomial,
     gmdn_fake_degree,
     mahonian_count,
@@ -26,11 +27,37 @@ from sytmaj.qpolys import (
     q_multinomial,
     substitute_power,
 )
-from sytmaj.shapes import BlockShape, Partition, parse_blocks, partitions
+from sytmaj.shapes import BlockShape, Partition, b_statistic, hook_lengths, parse_blocks, partitions
 from sytmaj.tableaux import DNotDividingM
 from sytmaj.verify import block_shapes, gmdn_gf_oracle, maj_gf_oracle
 
 N83 = "10,8,6,4,2|9,7,5,3,1|6,6,6|5,5"
+
+
+@dataclass(frozen=True)
+class HProfile:
+    """Hook-multiplicity vector H_i and part multiplicities of a companion
+    partition, the parameters of the coefficient polynomials."""
+
+    H: tuple[int, ...]  # H[i-1] = number of cells with hook length i
+    m_mu: tuple[int, ...]
+
+    @staticmethod
+    def of(p: Partition, mu: Partition) -> "HProfile":
+        n = p.n
+        H = [0] * n
+        for h in hook_lengths(p).values():
+            H[h - 1] += 1
+        m = [0] * n
+        for part in mu.parts:
+            if part <= n:
+                m[part - 1] += 1
+        return HProfile(tuple(H), tuple(m))
+
+
+def count_T(d, n):
+    """Partitions of d with first part <= n and distinct parts > 1."""
+    return sum(1 for mu in partitions(d, max_part=n) if _distinct_large_parts(mu))
 
 
 def hook_products_at_power(bs, m):
@@ -62,9 +89,27 @@ def test_stanley_examples():
 
 
 def test_stanley_exponents_nonnegative():
+    # q**d - 1 = prod_{j | d} Phi_j, so the cyclotomic exponent of Phi_j in
+    # the binomial form is E_j = sum_{k >= 1} e_{jk}
     for n in range(1, 15):
         for p in partitions(n):
-            assert all(e >= 0 for _, e in stanley(p).exponents)
+            exps = stanley(p).exponents
+            phi_exps = [sum(exps[j * k] for k in range(1, n // j + 1)) for j in range(1, n + 1)]
+            assert phi_exps[0] == 0, p
+            assert all(e >= 0 for e in phi_exps[1:]), p
+
+
+def test_hook_form_skips_empty_blocks():
+    for n in range(0, 7):
+        for m in (1, 2, 3):
+            for bs in block_shapes(n, m):
+                form = _hook_form(bs)
+                want = Counter()
+                for b in bs.blocks:
+                    if b:
+                        want.update(stanley(b).exponents)
+                assert form.shift == sum(b_statistic(b) for b in bs.blocks), bs
+                assert form.exponents == want, bs  # Counters: a missing key is 0
 
 
 def test_block_maj_gf():

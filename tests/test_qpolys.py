@@ -5,15 +5,12 @@ from hypothesis import given, strategies as st
 
 from sytmaj.genfun import stanley, syt_count
 from sytmaj.qpolys import (
-    CycloProduct,
-    NegativeExponent,
+    BinomialForm,
     NonzeroRemainder,
     QPoly,
-    cyclotomic_polynomial,
     divide_exact,
     divide_exact_int,
     expand,
-    expand_binomial_form,
     q_binomial,
     q_factorial,
     q_int,
@@ -22,6 +19,7 @@ from sytmaj.qpolys import (
     substitute_power,
 )
 from sytmaj.shapes import Partition, partitions
+from sytmaj.verify import cyclotomic_polynomial, stanley_cyclotomic_oracle
 
 qpoly_st = st.builds(
     QPoly,
@@ -133,23 +131,22 @@ def test_cyclotomic_polynomials():
 
 
 def test_expand_examples():
-    cp = stanley(Partition((4, 2)))
-    assert cp.shift == 2
-    assert cp.exponent_dict() == {3: 2, 6: 1}
-    assert expand(cp) == QPoly(2, (1, 1, 2, 1, 2, 1, 1))
-    assert expand(CycloProduct(0, {})) == QPoly.one()
-    cp421 = stanley(Partition((4, 2, 1)))
-    assert cp421.shift == 4
-    assert expand(cp421) == q_int(7) * q_int(5) * QPoly.monomial(4)
-    with pytest.raises(NegativeExponent):
-        expand(CycloProduct(0, {2: -1}))
+    form = stanley(Partition((4, 2)))
+    assert form.shift == 2
+    # q**d - 1 = prod_{j | d} Phi_j, so Phi_j has exponent sum_{j | d} e_d
+    phi_exps = {j: sum(e for d, e in form.exponents.items() if d % j == 0) for j in range(1, 7)}
+    assert {j: e for j, e in phi_exps.items() if e} == {3: 2, 6: 1}
+    assert expand(form) == QPoly(2, (1, 1, 2, 1, 2, 1, 1))
+    assert expand(BinomialForm(0, {})) == QPoly.one()
+    form421 = stanley(Partition((4, 2, 1)))
+    assert form421.shift == 4
+    assert expand(form421) == q_int(7) * q_int(5) * QPoly.monomial(4)
 
 
 def test_expand_fast_matches_direct():
     for n in range(1, 11):
         for p in partitions(n):
-            cp = stanley(p)
-            assert expand(cp, "fast") == expand(cp, "direct")
+            assert expand(stanley(p)) == stanley_cyclotomic_oracle(p)
 
 
 def test_expand_fast_matches_direct_on_seeded_large_shapes():
@@ -160,8 +157,8 @@ def test_expand_fast_matches_direct_on_seeded_large_shapes():
             i = parts.index(max(parts))
             cut = rng.randint(1, parts[i] - 1)
             parts[i : i + 1] = [parts[i] - cut, cut]
-        cp = stanley(Partition(sorted(parts, reverse=True)))
-        assert expand(cp) == expand(cp, "direct")
+        p = Partition(sorted(parts, reverse=True))
+        assert expand(stanley(p)) == stanley_cyclotomic_oracle(p)
 
 
 # (d, d') with d' | d stands for [d/d'] at q**d' = (q^d - 1)/(q^d' - 1)
@@ -185,15 +182,15 @@ def test_binomial_form_matches_products(shift, quotients, extras):
     for d in extras:
         exps[d] = exps.get(d, 0) + 1
         want = want * QPoly.from_terms({0: -1, d: 1})
-    assert expand_binomial_form(shift, exps) == want
+    assert expand(BinomialForm(shift, exps)) == want
 
 
 def test_binomial_form_rejects_non_polynomials():
     for exps in ({2: 1, 3: -1}, {3: 1, 2: -1}, {1: -1}, {4: 1, 3: 1, 2: -2}, {5: 1, 2: 1, 3: -2}):
         with pytest.raises(NonzeroRemainder):
-            expand_binomial_form(0, exps)
+            expand(BinomialForm(0, exps))
     with pytest.raises(ValueError):
-        expand_binomial_form(0, {0: 1})
+        expand(BinomialForm(0, {0: 1}))
 
 
 def test_expand_q1_equals_hook_count_to_30():
