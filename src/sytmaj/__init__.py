@@ -80,18 +80,12 @@ from .mutations import (
     PhiBranchError,
     SytPoset,
     block_rule,
-    block_rule_all,
     build_poset,
-    inverse_block_rule,
-    inverse_transpose_block_covers,
-    inverse_transpose_block_moves,
     negative_rotations,
     phi,
     phi_move,
     positive_rotations,
     poset_ground,
-    strong_cover_moves,
-    strong_covers,
     verify_ranked,
 )
 from .zeros import (

@@ -2,19 +2,23 @@
 and the strong/weak ranked poset structures they induce.
 
 All moves act on straight-shape standard tableaux by permuting values; a
-forward move raises the major index by exactly one.
+forward move raises the major index by exactly one.  The rotation scans and
+block-rule matchers read each value's row and column from arrays by value.
 
 `build_poset` keys its nodes by their value tuples.  A cover is the move's
 permutation applied to a node's values plus one dict lookup, so no Tableau
 is built per cover.  The ground set is every standard filling minus, for a
 big rectangle, the two extremes, so a lookup that misses and is not one of
-those two is a filling the move left non-standard, and it raises.
+those two is a filling the move left non-standard, and it raises.  The
+candidate search for one tableau's strong covers is `verify.strong_covers`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from math import comb
+from operator import itemgetter
 from typing import Iterator
 
 from .shapes import Partition, b_statistic
@@ -183,9 +187,8 @@ def negative_rotations(t: Tableau) -> list[Move]:
     return _negative_rotations(*_value_coordinates(t))
 
 
-def _find_rotation(t: Tableau, i: int, k: int) -> Move | None:
-    coords = _value_coordinates(t)
-    for mv in _positive_rotations(*coords) + _negative_rotations(*coords):
+def _find_rotation(rows: list[int], cols: list[int], i: int, k: int) -> Move | None:
+    for mv in _positive_rotations(rows, cols) + _negative_rotations(rows, cols):
         if mv.interval == (i, k):
             return mv
     return None
@@ -195,24 +198,24 @@ def _find_rotation(t: Tableau, i: int, k: int) -> Move | None:
 # block rules
 
 
-def _initial_row_run(t: Tableau) -> int:
-    a = 0
-    while t.at(1, a + 1) == a + 1:
-        a += 1
-    return a
+def _holds(rows: list[int], cols: list[int], v: int, r: int, c: int) -> bool:
+    """Does value v sit in cell (r, c)?  False past n (the sentinel n+1 has row 0)."""
+    return v < len(rows) and rows[v] == r and cols[v] == c
 
 
-def _abc(t: Tableau) -> tuple[int, int, int]:
+def _abc(rows: list[int], cols: list[int]) -> tuple[int, int, int]:
     """Largest c with the first c values filling an a-wide rectangle row by
-    row; returns (a, rows used, c)."""
-    a = _initial_row_run(t)
-    n = t.n
-    if a == n or t.pos(a + 1) != (2, 1):
+    row, where 1..a is the initial run of row 1; returns (a, rows used, c)."""
+    n = len(rows) - 2
+    a = 0
+    while rows[a + 1] == 1:  # row 1 of a standard filling starts 1, 2, ..., a
+        a += 1
+    if not _holds(rows, cols, a + 1, 2, 1):
         return a, 1, a
     r, col, c = 2, 1, a + 1
     while c < n:
         nr, nc = (r, col + 1) if col < a else (r + 1, 1)
-        if t.at(nr, nc) == c + 1:
+        if _holds(rows, cols, c + 1, nr, nc):
             r, col, c = nr, nc, c + 1
         else:
             break
@@ -253,176 +256,100 @@ def _b5_move(k: int) -> Move:
     )
 
 
-def _match_b1(t: Tableau) -> Move | None:
-    a, b, c = _abc(t)
+def _match_b1(rows: list[int], cols: list[int], abc: tuple[int, int, int]) -> Move | None:
+    a, b, c = abc
     if a < 2 or b < 2 or c != a * b or a >= c - 2:
         return None
-    if t.at(1, a + 1) != c + 1 or t.at(2, a + 1) != c + 2:
+    if not (_holds(rows, cols, c + 1, 1, a + 1) and _holds(rows, cols, c + 2, 2, a + 1)):
         return None
     return _b1_move(a, b, c)
 
 
-def _match_b2(t: Tableau) -> Move | None:
-    a, b, c = _abc(t)
+def _match_b2(rows: list[int], cols: list[int], abc: tuple[int, int, int]) -> Move | None:
+    a, b, c = abc
     if a < 2 or b < 2 or c >= a * b:
         return None
     k = c - (b - 1) * a
     # Row b with a single cell belongs to the B3/B4/B5 patterns instead.
     if k < 1 or (b == 2 and k == 1):
         return None
-    if t.at(b, k) != c or (k < a and t.at(b, k + 1) == c + 1):
+    if not _holds(rows, cols, c, b, k) or (k < a and _holds(rows, cols, c + 1, b, k + 1)):
         return None
     return _b2_move(a, b, c)
 
 
-def _match_b3(t: Tableau) -> Move | None:
-    a = _initial_row_run(t)
+def _match_b3(rows: list[int], cols: list[int], a: int) -> Move | None:
     if a < 3:
         return None
     k = 0
-    while t.at(2 + k, 1) == a + 1 + k:
+    while _holds(rows, cols, a + 1 + k, 2 + k, 1):
         k += 1
     if k < 2:
         return None
-    if t.at(2, 2) != a + k + 1 or t.at(3, 2) != a + k + 2:
+    if not (_holds(rows, cols, a + k + 1, 2, 2) and _holds(rows, cols, a + k + 2, 3, 2)):
         return None
     return _b3_move(a, k)
 
 
-def _column_run(t: Tableau) -> int:
-    """Largest r with T(s,1) = s+1 for s = 2..r (0 when T(2,1) != 3)."""
+def _column_run(rows: list[int], cols: list[int]) -> int:
+    """Largest r with T(1,2) = 2 and T(s,1) = s+1 for s = 2..r, else 0."""
+    if not _holds(rows, cols, 2, 1, 2):
+        return 0
     r = 1
-    while t.at(r + 1, 1) == r + 2:
+    while _holds(rows, cols, r + 2, r + 1, 1):
         r += 1
     return r if r >= 2 else 0
 
 
-def _match_b4(t: Tableau) -> Move | None:
-    if t.at(1, 2) != 2 or t.at(2, 1) != 3:
-        return None
-    k = _column_run(t)
+def _match_b4(rows: list[int], cols: list[int]) -> Move | None:
+    k = _column_run(rows, cols)
     if k < 2:
         return None
     for r in range(2, k + 1):
-        if t.at(r, 2) != k + r:
+        if not _holds(rows, cols, k + r, r, 2):
             return None
     l = 2
-    while all(t.at(r, l + 1) == l * k + r for r in range(1, k + 1)):
+    while all(_holds(rows, cols, l * k + r, r, l + 1) for r in range(1, k + 1)):
         l += 1
     if l < 3:
         return None
-    if t.at(k + 1, 1) != k * l + 1 or t.at(k + 1, 2) == k * l + 2:
+    if not _holds(rows, cols, k * l + 1, k + 1, 1) or _holds(rows, cols, k * l + 2, k + 1, 2):
         return None
     return _b4_move(k, l)
 
 
-def _match_b5(t: Tableau) -> Move | None:
-    if t.at(1, 2) != 2 or t.at(2, 1) != 3:
-        return None
-    r = _column_run(t)
+def _match_b5(rows: list[int], cols: list[int]) -> Move | None:
+    r = _column_run(rows, cols)
     if r < 2:
         return None
     k = r + 1
     if k <= 3:
         return None
     for rr in range(2, k):
-        if t.at(rr, 2) != k + rr - 1:
+        if not _holds(rows, cols, k + rr - 1, rr, 2):
             return None
-    if t.at(k, 1) != 2 * k - 1 or t.at(k, 2) == 2 * k:
+    if not _holds(rows, cols, 2 * k - 1, k, 1) or _holds(rows, cols, 2 * k, k, 2):
         return None
     return _b5_move(k)
 
 
-_MATCHERS = (_match_b1, _match_b2, _match_b3, _match_b4, _match_b5)
+def _block_matches(t: Tableau) -> Iterator[Move | None]:
+    """Each block rule's match at t, B1 to B5, None where it does not apply."""
+    if not isinstance(t.shape, Partition):
+        raise ValueError("block rules are defined for straight shapes only")
+    rows, cols = _value_coordinates(t)
+    abc = _abc(rows, cols)
+    yield _match_b1(rows, cols, abc)
+    yield _match_b2(rows, cols, abc)
+    yield _match_b3(rows, cols, abc[0])
+    yield _match_b4(rows, cols)
+    yield _match_b5(rows, cols)
 
 
 def block_rule(t: Tableau) -> Move | None:
     """The unique block rule applying to t, if any.  The five patterns are
     mutually exclusive."""
-    if not isinstance(t.shape, Partition):
-        raise ValueError("block rules are defined for straight shapes only")
-    for matcher in _MATCHERS:
-        mv = matcher(t)
-        if mv is not None:
-            return mv
-    return None
-
-
-def block_rule_all(t: Tableau) -> list[Move]:
-    """All matching block rules (for the disjointness check)."""
-    return [mv for matcher in _MATCHERS if (mv := matcher(t)) is not None]
-
-
-def _candidate_block_moves(n: int) -> Iterator[Move]:
-    for a in range(2, n + 1):
-        for b in range(2, n // a + 1):
-            c = a * b
-            if c + 2 <= n and a < c - 2:
-                yield _b1_move(a, b, c)
-    for a in range(2, n + 1):
-        for b in range(2, n // a + 2):
-            for c in range((b - 1) * a + 1, min(a * b, n + 1)):
-                k = c - (b - 1) * a
-                if not (b == 2 and k == 1):
-                    yield _b2_move(a, b, c)
-    for a in range(3, n + 1):
-        for k in range(2, n - a):
-            if a + k + 2 <= n:
-                yield _b3_move(a, k)
-    for k in range(2, n + 1):
-        for l in range(3, n + 1):
-            if k * l + 1 <= n:
-                yield _b4_move(k, l)
-    for k in range(4, (n + 1) // 2 + 1):
-        if 2 * k - 1 <= n:
-            yield _b5_move(k)
-
-
-def _inverse_block_moves(v: Tableau) -> list[Move]:
-    """Block-rule moves whose application to some tableau yields v."""
-    if v.at(2, 1) != 2:  # every block rule makes 1 a descent
-        return []
-    out = []
-    for mv in _candidate_block_moves(v.n):
-        inv = {w: x for x, w in mv.permutation().items()}
-        u = v.relabel_unchecked(inv)
-        if u is None or u == v:
-            continue
-        mv2 = block_rule(u)
-        if mv2 is not None and mv2.apply(u) == v and mv2 not in out:
-            out.append(mv2)
-    return out
-
-
-def inverse_block_rule(v: Tableau) -> list[Tableau]:
-    """All tableaux u with a block rule taking u to v."""
-    return [
-        v.relabel({w: x for x, w in mv.permutation().items()})
-        for mv in _inverse_block_moves(v)
-    ]
-
-
-def inverse_transpose_block_moves(t: Tableau) -> list[Move]:
-    """Moves that transpose, undo a block rule, and transpose back.
-
-    Transposition leaves values fixed, so such a move acts on t directly by
-    the inverse of the underlying block permutation; it raises maj by one.
-    """
-    out = []
-    for mv in _inverse_block_moves(t.transpose()):
-        out.append(
-            Move(
-                "inv_transpose_" + mv.kind,
-                tuple(tuple(reversed(cyc)) for cyc in mv.cycles),
-                params=mv.params,
-            )
-        )
-    return out
-
-
-def inverse_transpose_block_covers(t: Tableau) -> list[Tableau]:
-    """Covers of t obtained from the inverse-transpose block moves."""
-    return [mv.apply(t) for mv in inverse_transpose_block_moves(t)]
+    return next((mv for mv in _block_matches(t) if mv is not None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +437,10 @@ def phi_move(t: Tableau) -> Move:
     n = t.n
     if 1 in des:
         return _negrot_from_prefix(t)
+    rows, cols = _value_coordinates(t)
 
     if 2 not in des:
-        a, b, c = _abc(t)
+        abc = a, b, c = _abc(rows, cols)
         if b < 2 or a + 2 > n:
             raise PhiBranchError("degenerate shape outside the exceptional set")
         p2 = t.pos(a + 2)
@@ -521,12 +449,12 @@ def phi_move(t: Tableau) -> Move:
         if p2 == (2, 2):
             if c == a * b:
                 if t.at(2, a + 1) == c + 2:
-                    return _require(_match_b1(t), "B1 expected")
+                    return _require(_match_b1(rows, cols, abc), "B1 expected")
                 i0 = t.at(b, 1)
                 return _require(
-                    _find_rotation(t, i0, c + 1), "rotation [row-b start, c+1] expected"
+                    _find_rotation(rows, cols, i0, c + 1), "rotation [row-b start, c+1] expected"
                 )
-            return _require(_match_b2(t), "B2 expected")
+            return _require(_match_b2(rows, cols, abc), "B2 expected")
         if p2 == (3, 1):
             k3 = 2
             while a + k3 in des:
@@ -538,9 +466,9 @@ def phi_move(t: Tableau) -> Move:
                 return _negrot_from_prefix(t)
             if pt == (2, 2):
                 if t.at(3, 2) == a + k3 + 2:
-                    return _require(_match_b3(t), "B3 expected")
+                    return _require(_match_b3(rows, cols, a), "B3 expected")
                 return _require(
-                    _find_rotation(t, a + k3, a + k3 + 1), "adjacent swap expected"
+                    _find_rotation(rows, cols, a + k3, a + k3 + 1), "adjacent swap expected"
                 )
         raise PhiBranchError(f"value {a + 2} in unexpected position {p2}")
 
@@ -561,7 +489,7 @@ def phi_move(t: Tableau) -> Move:
         ell += 1
         r += 1
     if ell < 2 * (k - 1):
-        return _require(_find_rotation(t, k, ell), "negative rotation [k, ell] expected")
+        return _require(_find_rotation(rows, cols, k, ell), "negative rotation [k, ell] expected")
     if t.at(1, 3) == ell + 1:
         # walk full columns of height k-1 to the right
         col, p = 3, ell
@@ -580,30 +508,32 @@ def phi_move(t: Tableau) -> Move:
                     # column 2 is the 2, so the backward cycle breaks; the
                     # forward cycle on the same interval is the valid move.
                     return _require(
-                        _find_rotation(t, k, q), "positive rotation [k, q] expected"
+                        _find_rotation(rows, cols, k, q), "positive rotation [k, q] expected"
                     )
-                return _require(_find_rotation(t, p, q), "negative rotation [p, q] expected")
+                return _require(_find_rotation(rows, cols, p, q),
+                                "negative rotation [p, q] expected")
             if p + 1 <= n and t.pos(p + 1) == (k, 1):
                 if t.at(k, 2) == p + 2:
-                    return _require(_find_rotation(t, p, p + 1), "adjacent swap expected")
-                return _require(_match_b4(t), "B4 expected")
+                    return _require(_find_rotation(rows, cols, p, p + 1), "adjacent swap expected")
+                return _require(_match_b4(rows, cols), "B4 expected")
             raise PhiBranchError("rectangle continuation missing")
     if ell + 1 > n or t.pos(ell + 1) != (k, 1):
         raise PhiBranchError("column-2 block ends unexpectedly")
     if k > 3:
         if t.at(k, 2) == ell + 2:
-            return _require(_find_rotation(t, ell, ell + 1), "adjacent swap expected")
-        return _require(_match_b5(t), "B5 expected")
-    a2, b2, c2 = _abc(t)
+            return _require(_find_rotation(rows, cols, ell, ell + 1), "adjacent swap expected")
+        return _require(_match_b5(rows, cols), "B5 expected")
+    abc = a2, b2, c2 = _abc(rows, cols)
     if c2 == a2 * b2:
         if t.at(2, 3) == c2 + 2:
-            return _require(_match_b1(t), "B1 expected")
+            return _require(_match_b1(rows, cols, abc), "B1 expected")
         # The adjacent swap (c, c+1) breaks here: nothing leaves the descent
         # set.  The forward cycle from the start of the bottom row is the
         # move that works, as in the row-filled rectangle case.
         i0 = t.at(b2, 1)
-        return _require(_find_rotation(t, i0, c2 + 1), "rotation [row-b start, c+1] expected")
-    return _require(_match_b2(t), "B2 expected")
+        return _require(_find_rotation(rows, cols, i0, c2 + 1),
+                        "rotation [row-b start, c+1] expected")
+    return _require(_match_b2(rows, cols, abc), "B2 expected")
 
 
 def phi(t: Tableau) -> Tableau:
@@ -623,14 +553,22 @@ def phi(t: Tableau) -> Tableau:
 # posets
 
 
+def _ground(p: Partition) -> tuple[list[Tableau], list[int]]:
+    """The ground set sorted by maj, then by row reading word (the rows
+    bottom to top, a fixed reordering of the values), and its majs."""
+    excl = {minmaj_tableau(p).values, maxmaj_tableau(p).values} if p.is_big_rectangle() else ()
+    starts = list(accumulate(p.parts, initial=0))
+    order = [i for r in reversed(range(len(p))) for i in range(starts[r], starts[r + 1])]
+    word = itemgetter(*order) if p.n > 1 else tuple  # itemgetter(i) returns no tuple
+    keyed = sorted((t.maj(), word(t.values), t)
+                   for t in enumerate_tableaux(p) if t.values not in excl)
+    return [t for _, _, t in keyed], [maj for maj, _, _ in keyed]
+
+
 def poset_ground(p: Partition) -> list[Tableau]:
     """Ground set: all tableaux, minus the two extremes for rectangles with
     at least two rows and columns."""
-    ground = list(enumerate_tableaux(p))
-    if p.is_big_rectangle():
-        excl = {minmaj_tableau(p), maxmaj_tableau(p)}
-        ground = [t for t in ground if t not in excl]
-    return sorted(ground, key=lambda t: (t.maj(), t.row_reading_word()))
+    return _ground(p)[0]
 
 
 def _forward_moves(t: Tableau) -> list[Move]:
@@ -638,23 +576,6 @@ def _forward_moves(t: Tableau) -> list[Move]:
     coords = _value_coordinates(t)
     mv = block_rule(t)
     return _positive_rotations(*coords) + _negative_rotations(*coords) + ([mv] if mv else [])
-
-
-def strong_cover_moves(t: Tableau) -> list[Move]:
-    """Every maj-raising move available at t in the strong order."""
-    return _forward_moves(t) + inverse_transpose_block_moves(t)
-
-
-def strong_covers(t: Tableau) -> list[Tableau]:
-    """Upper covers of t in the strong order: rotations, block rules, and
-    inverse-transpose block rules, kept inside the ground set."""
-    p = t.shape
-    out: list[Tableau] = [mv.apply(t) for mv in strong_cover_moves(t)]
-    if p.is_big_rectangle():
-        excl = {minmaj_tableau(p), maxmaj_tableau(p)}
-        out = [y for y in out if y not in excl]
-    uniq = sorted(set(out), key=lambda y: y.row_reading_word())
-    return uniq
 
 
 @dataclass(frozen=True)
@@ -667,31 +588,30 @@ class SytPoset:
     def edge_pairs(self) -> set[tuple[int, int]]:
         return {(i, j) for i, ups in enumerate(self.covers) for j in ups}
 
-    def node_label(self, i: int) -> str:
-        word = self.elements[i].row_reading_word()
-        return "".join(map(str, word)) if self.elements and self.elements[i].n < 10 \
-            else "-".join(map(str, word))
+    def _labels(self) -> list[str]:
+        """Each node's row reading word, joined by "-" from n = 10 on."""
+        sep = "" if self.elements and self.elements[0].n < 10 else "-"
+        return [sep.join(map(str, t.row_reading_word())) for t in self.elements]
 
     def to_dot(self) -> str:
+        labels = self._labels()
         lines = ["digraph syt_poset {", "  rankdir=BT;", "  node [shape=box];"]
-        by_maj: dict[int, list[int]] = {}
-        for i, t in enumerate(self.elements):
-            lines.append(f'  "{self.node_label(i)}" [maj={t.maj()}];')
-            by_maj.setdefault(t.maj(), []).append(i)
+        by_maj: dict[int, list[str]] = {}
+        for label, maj in zip(labels, (t.maj() for t in self.elements)):
+            lines.append(f'  "{label}" [maj={maj}];')
+            by_maj.setdefault(maj, []).append(label)
         for maj in sorted(by_maj):
-            names = " ".join(f'"{self.node_label(i)}";' for i in by_maj[maj])
+            names = " ".join(f'"{label}";' for label in by_maj[maj])
             lines.append("  { rank=same; %s }" % names)
-        for i, ups in enumerate(self.covers):
+        for label, ups in zip(labels, self.covers):
             for j in ups:
-                lines.append(f'  "{self.node_label(i)}" -> "{self.node_label(j)}";')
+                lines.append(f'  "{label}" -> "{labels[j]}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def to_json_adjacency(self) -> dict[str, list[str]]:
-        return {
-            self.node_label(i): [self.node_label(j) for j in ups]
-            for i, ups in enumerate(self.covers)
-        }
+        labels = self._labels()
+        return {label: [labels[j] for j in ups] for label, ups in zip(labels, self.covers)}
 
 
 def build_poset(p: Partition, flavor: str) -> SytPoset:
@@ -700,37 +620,45 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
     Each order pairs a forward step with a transposed one: s covers t when
     the step takes t to s, or takes s' to t'.  The weak step is phi.  The
     strong forward step is every rotation and the block rule; its transposed
-    step is the block rule alone, so the inverse-transpose block covers come
-    from one forward block rule per conjugate tableau.
+    step is the block rule alone, which needs 2 at (1,2) of t', so it is
+    taken only where 1 is a descent of t.
 
     Every step is a value permutation, and permuting values commutes with
     transposition, so both steps land on permuted values of t itself, looked
     up by value tuple (see the module docstring).  A miss that is not an
     excluded extreme raises as Move.apply does, or as phi does in the weak
     order, where every edge is also checked to raise maj by one.
+
+    When p is self-conjugate, t' is node tr[i] of the ground set, so each
+    forward edge (i, j) of the transposed step gives the edge (tr[j], tr[i]),
+    checked as its forward edge was, and no tableau is transposed.
     """
-    ground = poset_ground(p)
+    ground, majs = _ground(p)
     index = {t.values: i for i, t in enumerate(ground)}
-    majs = [t.maj() for t in ground]
     outside = {e.values: e.maj() for e in (minmaj_tableau(p), maxmaj_tableau(p))} \
         if p.is_big_rectangle() else {}
+    conj, mirror = p.transpose_map
     if flavor == "strong":
-        fault, check_maj = ValueError, False
+        # the transposed step is the block rule alone: no rotation (a move with an interval)
+        fault, check_maj, rotations_transpose = ValueError, False, False
         step = _forward_moves
 
-        def transposed(u: Tableau) -> list[Move]:
-            mv = block_rule(u)
-            return [mv] if mv else []
+        def transposed(t: Tableau) -> tuple[Tableau | None, list[Move]]:
+            if t.n < 2 or t.row_of(2) == 1:  # 1 is no descent
+                return None, []
+            u = t.transpose()
+            return u, [mv] if (mv := block_rule(u)) else []
     elif flavor == "weak":
-        fault, check_maj = PhiBranchError, True
+        fault, check_maj, rotations_transpose = PhiBranchError, True, True
         exc = {e.values for e in _exceptional(p)}
-        exc_conj = {e.values for e in _exceptional(p.transpose_map[0])}
+        exc_conj = {e.values for e in _exceptional(conj)}
 
         def step(t: Tableau) -> list[Move]:
             return [] if t.values in exc else [phi_move(t)]
 
-        def transposed(u: Tableau) -> list[Move]:
-            return [] if u.values in exc_conj else [phi_move(u)]
+        def transposed(t: Tableau) -> tuple[Tableau | None, list[Move]]:
+            u = t.transpose()
+            return u, [] if u.values in exc_conj else [phi_move(u)]
     else:
         raise ValueError(f"unknown poset flavor {flavor!r}")
 
@@ -750,15 +678,20 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
             raise fault(f"{mv} changed maj by {rise * (maj - majs[i])} on {source.to_text()}")
         return j
 
+    flip = itemgetter(*mirror) if p.n > 1 else tuple
+    tr = [index[flip(t.values)] for t in ground] if conj == p else None
     edges: set[tuple[int, int]] = set()
     for i, t in enumerate(ground):
         for mv in step(t):
             if (j := land(i, mv, t, 1)) is not None:
                 edges.add((i, j))
-        u = t.transpose()
-        for mv in transposed(u):
-            if (j := land(i, mv, u, -1)) is not None:
-                edges.add((j, i))
+                if tr is not None and (rotations_transpose or mv.interval is None):
+                    edges.add((tr[j], tr[i]))
+        if tr is None:
+            u, moves = transposed(t)
+            for mv in moves:
+                if (j := land(i, mv, u, -1)) is not None:
+                    edges.add((j, i))
     covers: list[list[int]] = [[] for _ in ground]
     for i, j in sorted(edges):
         covers[i].append(j)
@@ -799,17 +732,17 @@ def verify_ranked(poset: SytPoset) -> RankReport:
         return RankReport(
             poset.flavor, str(p), 0, True, True, True, True, None, None, None, None
         )
+    majs = [t.maj() for t in poset.elements]
     indeg = [0] * len(poset.elements)
     graded = True
     for i, ups in enumerate(poset.covers):
         for j in ups:
             indeg[j] += 1
-            if poset.elements[j].maj() != poset.elements[i].maj() + 1:
+            if majs[j] != majs[i] + 1:
                 graded = False
     sources = [i for i, d in enumerate(indeg) if d == 0]
     sinks = [i for i, ups in enumerate(poset.covers) if not ups]
     unique_min, unique_max = len(sources) == 1, len(sinks) == 1
-    majs = [t.maj() for t in poset.elements]
     ranked = unique_min and unique_max and graded
     return RankReport(
         poset.flavor,

@@ -98,9 +98,10 @@ class Tableau:
     def relabel_unchecked(self, perm: dict[int, int]) -> "Tableau | None":
         """Like relabel but returns None if the result is not standard."""
         try:
-            return Tableau(self.shape, tuple(perm.get(v, v) for v in self.values), check=True)
+            t = Tableau(self.shape, tuple(perm.get(v, v) for v in self.values), check=False)
         except ValueError:
             return None
+        return t if t._is_standard() else None
 
     def transpose(self) -> "Tableau":
         if not isinstance(self.shape, Partition):

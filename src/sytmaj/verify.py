@@ -7,7 +7,9 @@ The tableau oracles share one walk, `_fillings`, that places n, n-1, ..., 1
 into the outer corners of the cells still empty and counts every standard
 filling by (maj, des) without building a Tableau; the G(m,d,n) oracle lets
 n go only into the first m/d blocks, so it visits only canonical orbit
-representatives.  Each suite returns one CheckResult per unit of work; the
+representatives.  `strong_covers` finds one tableau's strong covers by
+trying every candidate block move, for the poset suite to compare with
+`build_poset`'s.  Each suite returns one CheckResult per unit of work; the
 CLI prints them and fails on any mismatch.
 """
 from __future__ import annotations
@@ -28,7 +30,19 @@ from .deformed import (
     rotation_class,
 )
 from .genfun import gmdn_fake_degree, stanley, syt_count, wreath_fake_degree
-from .mutations import build_poset, phi, verify_ranked
+from .mutations import (
+    Move,
+    _b1_move,
+    _b2_move,
+    _b3_move,
+    _b4_move,
+    _b5_move,
+    _forward_moves,
+    block_rule,
+    build_poset,
+    phi,
+    verify_ranked,
+)
 from .qpolys import (
     NonzeroRemainder,
     QPoly,
@@ -55,8 +69,11 @@ from .shapes import (
 from .tableaux import (
     BoundExceeded,
     DNotDividingM,
+    Tableau,
     enumerate_tableaux,
     exceptional_set,
+    maxmaj_tableau,
+    minmaj_tableau,
 )
 from .zeros import support_gmdn, support_type_A, verify_support
 
@@ -245,6 +262,65 @@ def word_inv_oracle(alpha: tuple[int, ...], k: int) -> QPoly:
     return QPoly.from_terms(total)
 
 
+def _candidate_block_moves(n: int) -> Iterator[Move]:
+    for a in range(2, n + 1):
+        for b in range(2, n // a + 1):
+            c = a * b
+            if c + 2 <= n and a < c - 2:
+                yield _b1_move(a, b, c)
+    for a in range(2, n + 1):
+        for b in range(2, n // a + 2):
+            for c in range((b - 1) * a + 1, min(a * b, n + 1)):
+                k = c - (b - 1) * a
+                if not (b == 2 and k == 1):
+                    yield _b2_move(a, b, c)
+    for a in range(3, n + 1):
+        for k in range(2, n - a):
+            if a + k + 2 <= n:
+                yield _b3_move(a, k)
+    for k in range(2, n + 1):
+        for l in range(3, n + 1):
+            if k * l + 1 <= n:
+                yield _b4_move(k, l)
+    for k in range(4, (n + 1) // 2 + 1):
+        if 2 * k - 1 <= n:
+            yield _b5_move(k)
+
+
+def _inverse_block_moves(v: Tableau) -> list[Move]:
+    """Block-rule moves whose application to some tableau yields v."""
+    if v.at(2, 1) != 2:  # every block rule makes 1 a descent
+        return []
+    out = []
+    for mv in _candidate_block_moves(v.n):
+        u = v.relabel_unchecked({w: x for x, w in mv.permutation().items()})
+        if u is None or u == v:
+            continue
+        mv2 = block_rule(u)
+        if mv2 is not None and mv2.apply(u) == v and mv2 not in out:
+            out.append(mv2)
+    return out
+
+
+def inverse_transpose_block_moves(t: Tableau) -> list[Move]:
+    """Moves that transpose, undo a block rule, and transpose back.
+
+    Transposition leaves values fixed, so such a move acts on t directly by
+    the inverse of the underlying block permutation; it raises maj by one.
+    """
+    return [Move("inv_transpose_" + mv.kind, tuple(c[::-1] for c in mv.cycles), params=mv.params)
+            for mv in _inverse_block_moves(t.transpose())]
+
+
+def strong_covers(t: Tableau) -> list[Tableau]:
+    """Upper covers of t in the strong order: rotations, block rules, and
+    inverse-transpose block rules, kept inside the ground set."""
+    p = t.shape
+    excl = {minmaj_tableau(p), maxmaj_tableau(p)} if p.is_big_rectangle() else set()
+    out = {mv.apply(t) for mv in _forward_moves(t) + inverse_transpose_block_moves(t)}
+    return sorted(out - excl, key=lambda y: y.row_reading_word())
+
+
 def weak_compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
     if m == 1:
         yield (n,)
@@ -307,21 +383,14 @@ def _check_poset(shape_str: str) -> tuple[str, bool, str]:
         rep = verify_ranked(poset)
         if not rep.ok():
             problems.append(f"{poset.flavor}: {rep}")
-    if not set(weak.edge_pairs()) <= _order_relation(strong):
-        problems.append("weak covers not inside strong order")
+    if not weak.edge_pairs() <= strong.edge_pairs():
+        problems.append("weak covers not among strong covers")
+    index = {t.values: i for i, t in enumerate(strong.elements)}
+    bad = [t.to_text() for t, ups in zip(strong.elements, strong.covers)
+           if sorted(index[y.values] for y in strong_covers(t)) != list(ups)]
+    if bad:
+        problems.append(f"strong covers differ from the candidate search at {bad[:3]}")
     return shape_str, not problems, "; ".join(problems)
-
-
-def _order_relation(poset) -> set[tuple[int, int]]:
-    """Transitive closure of the cover relation, as index pairs."""
-    n = len(poset.elements)
-    reach = [set(ups) for ups in poset.covers]
-    for i in range(n - 1, -1, -1):
-        acc = set(reach[i])
-        for j in reach[i]:
-            acc |= reach[j]
-        reach[i] = acc
-    return {(i, j) for i in range(n) for j in reach[i]}
 
 
 def _check_des(shape_str: str) -> tuple[str, bool, str]:

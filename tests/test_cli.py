@@ -112,6 +112,8 @@ def test_argument_errors_exit_2():
         ["enumerate", "--shape", "21"],
         ["poset", "--shape", "7,7,7"],
         ["support", "--blocks", "|", "--d", "2"],
+        ["verify", "--suite", "regression", "--threads", "-3"],
+        ["verify", "--suite", "regression", "--threads", "0"],
     ):
         proc = run_cli(args)
         assert proc.returncode == 2 and "Traceback" not in proc.stderr, args

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from math import comb
 
 import pytest
@@ -8,28 +9,30 @@ from sytmaj.mutations import (
     ExceptionalTableau,
     Move,
     PhiBranchError,
-    _candidate_block_moves,
     _maxmaj_prefix,
     block_rule,
-    block_rule_all,
     build_poset,
-    inverse_block_rule,
-    inverse_transpose_block_covers,
     negative_rotations,
     phi,
     phi_move,
     positive_rotations,
     poset_ground,
-    strong_covers,
     verify_ranked,
 )
 from sytmaj.shapes import Partition, b_statistic, parse_partition, partitions
 from sytmaj.tableaux import (
+    Tableau,
     enumerate_tableaux,
     exceptional_set,
     from_rows,
     maxmaj_tableau,
     minmaj_tableau,
+)
+from sytmaj.verify import (
+    _candidate_block_moves,
+    _inverse_block_moves,
+    inverse_transpose_block_moves,
+    strong_covers,
 )
 
 
@@ -125,6 +128,21 @@ def test_rotations_on_skew_shapes():
         block_rule(next(enum(shapes[0])))
 
 
+def block_rule_all(t):
+    """All matching block rules (for the disjointness check)."""
+    return [mv for mv in mutations._block_matches(t) if mv is not None]
+
+
+def inverse_block_rule(v):
+    """All tableaux u with a block rule taking u to v."""
+    return [v.relabel({w: x for x, w in mv.permutation().items()}) for mv in _inverse_block_moves(v)]
+
+
+def inverse_transpose_block_covers(t):
+    """Covers of t obtained from the inverse-transpose block moves."""
+    return [mv.apply(t) for mv in inverse_transpose_block_moves(t)]
+
+
 def test_block_rule_small_known_cases():
     cases = [
         ([[1, 2, 3, 7], [4, 5, 6, 8]], "B1", [[1, 3, 4, 6], [2, 5, 7, 8]]),
@@ -172,8 +190,6 @@ def test_inverse_block_rule():
     assert inverse_block_rule(v) == [t]
     assert inverse_block_rule(t) == []
     # transposed route raises maj by one and is tagged as inverse-transpose
-    from sytmaj.mutations import inverse_transpose_block_moves
-
     tt = t.transpose()
     for mv in inverse_transpose_block_moves(tt):
         assert mv.kind.startswith("inv_transpose_B")
@@ -344,6 +360,83 @@ def test_block_rule_outputs_are_candidates():
 def test_poset_dot_golden(shape, flavor, digest):
     dot = build_poset(parse_partition(shape), flavor).to_dot()
     assert hashlib.sha256(dot.encode()).hexdigest()[:16] == digest
+
+
+def test_poset_dots_golden_to_n9():
+    # sha256 of every to_dot() for n <= 9, strong then weak per partition,
+    # as built by the transpose-per-node construction
+    digest = hashlib.sha256()
+    for n in range(10):
+        for p in partitions(n):
+            for flavor in ("strong", "weak"):
+                digest.update(build_poset(p, flavor).to_dot().encode())
+    assert digest.hexdigest() == \
+        "7ba1d6c02481630eaece3fca6e73271360ca0b36020be704fb77a562077ba4d9"
+
+
+def explicit_edges(p, flavor):
+    """Both steps taken literally on a shape's ground set: the forward step
+    at each node t, and the transposed step at t' read back onto t.  The
+    forward edges come split into those whose move the transposed step
+    also takes (the block rule, or phi) and the rest (rotations)."""
+    ground = poset_ground(p)
+    index = {t.values: i for i, t in enumerate(ground)}
+    exc, exc_conj = exceptional_set(p), exceptional_set(p.conjugate())
+
+    def step(t, excluded):
+        if flavor == "strong":
+            return [mv] if (mv := block_rule(t)) else []
+        return [] if t in excluded else [phi_move(t)]
+
+    def lands(t, mv):
+        perm = mv.permutation()
+        return index.get(tuple(perm.get(v, v) for v in t.values))
+
+    shared, rotations, transposed = set(), set(), set()
+    for i, t in enumerate(ground):
+        for mv in step(t, exc):
+            if (j := lands(t, mv)) is not None:
+                shared.add((i, j))
+        if flavor == "strong":
+            rotations |= {(i, j) for mv in positive_rotations(t) + negative_rotations(t)
+                          if (j := lands(t, mv)) is not None}
+        for mv in step(t.transpose(), exc_conj):
+            if (j := lands(t, mv)) is not None:
+                transposed.add((j, i))
+    return ground, index, shared, rotations, transposed
+
+
+@pytest.mark.parametrize("flavor", ["strong", "weak"])
+def test_self_conjugate_transposed_edges_mirror_forward_edges(flavor):
+    shapes = [p for n in range(11) for p in partitions(n) if p.conjugate() == p]
+    assert len(shapes) == 13
+    for p in shapes:
+        ground, index, shared, rotations, transposed = explicit_edges(p, flavor)
+        tr = [index[t.transpose().values] for t in ground]
+        assert transposed == {(tr[j], tr[i]) for i, j in shared}, (p, flavor)
+        assert build_poset(p, flavor).edge_pairs() == shared | rotations | transposed, \
+            (p, flavor)
+
+
+def test_posets_take_each_step_once(monkeypatch):
+    calls = Counter()
+    for name in ("block_rule", "phi_move"):
+        real = getattr(mutations, name)
+        monkeypatch.setattr(mutations, name,
+                            lambda t, real=real, name=name: calls.update([name]) or real(t))
+    transpose = Tableau.transpose
+    monkeypatch.setattr(Tableau, "transpose",
+                        lambda t: calls.update(["transpose"]) or transpose(t))
+    # self-conjugate: one step per node, and no tableau is transposed
+    p = parse_partition("4,3,2,1")
+    strong, weak = build_poset(p, "strong"), build_poset(p, "weak")
+    assert calls == {"block_rule": len(strong.elements),
+                     "phi_move": len(weak.elements) - len(exceptional_set(p))}
+    # otherwise the strong order transposes only where 1 is a descent
+    calls.clear()
+    strong = build_poset(parse_partition("5,2,2,1"), "strong")
+    ones = sum(1 for t in strong.elements if 1 in t.descent_set())
+    assert calls == {"block_rule": len(strong.elements) + ones, "transpose": ones}
 
 
 def test_empty_shape_poset_has_one_node():
