@@ -99,4 +99,36 @@ from .zeros import (
     verify_support,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # shapes
+    "BlockShape", "Partition", "SkewShape", "b_composition", "b_statistic",
+    "block_coordinates", "corners_and_notches", "hook_lengths",
+    "hook_multiset", "parse_blocks", "parse_partition", "partitions",
+    # qpolys
+    "BinomialForm", "NonzeroRemainder", "QPoly", "divide_exact",
+    "divide_exact_int", "expand", "q_binomial", "q_factorial", "q_int",
+    "q_multinomial", "shape_predicates", "substitute_power",
+    # tableaux
+    "BoundExceeded", "DNotDividingM", "OrbitRep", "ShapeNotOneRowBlocks",
+    "Tableau", "canonical_orbit_tableaux", "count_tableaux", "descent_set",
+    "enumerate_tableaux", "exceptional_set", "from_rows", "maxmaj_tableau",
+    "minmaj_tableau", "parse_tableau", "to_word", "word_descent_set",
+    "word_inv",
+    # genfun
+    "block_maj_gf", "coefficient_via_H", "generalized_binomial",
+    "gmdn_fake_degree", "mahonian_count", "stanley", "syt_count",
+    "wreath_fake_degree",
+    # deformed
+    "composition_degree", "deformed_binomial", "deformed_multinomial",
+    "deformed_multinomial_rational", "partial_sum_multinomial",
+    "partial_sum_multinomial_by_sum", "q_mult_recurrence_check",
+    "rotate_right", "rotation_class",
+    # mutations
+    "ExceptionalTableau", "Move", "PhiBranchError", "SytPoset", "block_rule",
+    "build_poset", "negative_rotations", "phi", "phi_move",
+    "positive_rotations", "poset_ground", "verify_ranked",
+    # zeros
+    "SupportPrediction", "SupportReport", "check_parity_unimodal",
+    "support_des", "support_gmdn", "support_type_A", "support_wreath",
+    "verify_support",
+]

@@ -120,6 +120,8 @@ def cmd_deformed(parser, args) -> int:
 def cmd_verify(parser, args) -> int:
     if args.threads < 1:
         parser.error(f"--threads {args.threads} must be at least 1")
+    if args.max_n is not None and args.max_n < 0:
+        parser.error(f"--max-n {args.max_n} must be at least 0")
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
     results, ok = verify_mod.run_suites(names, max_n=args.max_n, threads=args.threads)
     for r in results:

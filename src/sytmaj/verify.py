@@ -1,12 +1,15 @@
 """Enumeration oracles and the verification suites behind `sytmaj verify`.
 
 Every closed formula in the package is re-derived here independently:
-tableau enumeration, word enumeration, exhaustive move application, or
+standard-filling counts, word enumeration, exhaustive move application, or
 (for the q-hook-length product) cyclotomic factors multiplied out.
-The tableau oracles share one walk, `_fillings`, that places n, n-1, ..., 1
-into the outer corners of the cells still empty and counts every standard
-filling by (maj, des) without building a Tableau; the G(m,d,n) oracle lets
-n go only into the first m/d blocks, so it visits only canonical orbit
+The tableau oracles share one count, `_fillings`, of the standard fillings
+by (maj, des), built by placing n, n-1, ..., 1 into the outer corners of the
+cells still empty.  It counts each state (bitmask of the empty cells, row
+of v+1) once, holding its counts packed in one int with slot maj*n + des,
+so it reaches the 20-cell bound on straight shapes; its memory grows with
+the number of order ideals of the shape.  The G(m,d,n) oracle lets n go
+only into the first m/d blocks, so it counts only canonical orbit
 representatives.  `strong_covers` finds one tableau's strong covers by
 trying every candidate block move, for the poset suite to compare with
 `build_poset`'s.  Each suite returns one CheckResult per unit of work; the
@@ -15,12 +18,14 @@ CLI prints them and fails on any mismatch.
 from __future__ import annotations
 
 import itertools
+import struct
+import sys
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
-from math import comb
+from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
 from .deformed import (
@@ -94,61 +99,79 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # oracles
 
+# (bytes, memoryview format) of the unsigned slot widths `_fillings` packs into
+_SLOTS = [(struct.calcsize(f), f) for f in "BHIQ"]
+
 
 def _fillings(shape, top: set[int] | None = None) -> Counter:
-    """Count the standard fillings of a shape by (maj, des), by a brute-force
-    walk that visits every filling once and builds no Tableau.
+    """Count the standard fillings of a shape by (maj, des), without building
+    a Tableau or visiting each filling.
 
-    It places n, n-1, ..., 1 in turn into an outer corner of the cells still
-    empty: a cell whose south and east neighbours are all filled.  v is a
-    descent when v+1 sits in a strictly lower row, so maj and des are summed
-    as the walk goes.  With `top`, n goes only into those cell indices.
+    A standard filling is built by placing n, n-1, ..., 1 in turn into an
+    outer corner of the cells still empty: a cell whose south and east
+    neighbours are all filled.  v is a descent when v+1 sits in a strictly
+    lower row.  So the (maj, des) counts of the ways to fill the empty cells
+    with 1..v depend only on the state (bitmask of the empty cells, row of
+    v+1), and each state is counted once, as the sum over its outer corners
+    of the child states, in a memo local to the call.  Children in rows above
+    the row of v+1 gain the descent v, i.e. (maj, des) += (v, 1).
+
+    A state's counts are one int: slot maj*n + des holds its count, in a
+    byte-aligned slot wide enough for n! (no count exceeds n!, and des < n,
+    so slots neither carry nor collide).  Adding a descent is then one shift,
+    and merging the children one add; the total is decoded once at the end.
+    Memory grows with the number of order ideals of the shape: a straight
+    shape at the 20-cell bound is cheap, but one of many small blocks is not.
+
+    With `top`, n goes only into those cell indices.  This reads no hook
+    length and does no q-arithmetic: deleting the largest entry from an outer
+    corner is the definition of a standard filling, not a formula under test,
+    so the oracle stays independent of `stanley` and `gmdn_fake_degree`.
     """
     cells = shape.cells
     n = len(cells)
     if n > 20:
         raise BoundExceeded(f"shape has {n} cells, bound is 20")
-    north, west = shape.neighbours
-    below = [0] * n  # unfilled south and east neighbours of each cell
-    for j in north + west:
-        if j >= 0:
-            below[j] += 1
-    rows = [r for r, _ in cells]
-    counts: Counter = Counter()
-
-    def walk(v: int, corners: list[int], choices: list[int], last: int, maj: int, des: int) -> None:
-        for i in choices:
-            r = rows[i]
-            if last > r:
-                maj_v, des_v = maj + v, des + 1
-            else:
-                maj_v, des_v = maj, des
-            if v == 1:
-                counts[maj_v, des_v] += 1
-                continue
-            rest = corners.copy()
-            rest.remove(i)
-            ni, wi = north[i], west[i]
-            if ni >= 0:
-                below[ni] -= 1
-                if not below[ni]:
-                    rest.append(ni)
-            if wi >= 0:
-                below[wi] -= 1
-                if not below[wi]:
-                    rest.append(wi)
-            walk(v - 1, rest, rest, r, maj_v, des_v)
-            if ni >= 0:
-                below[ni] += 1
-            if wi >= 0:
-                below[wi] += 1
-
-    corners = [i for i in range(n) if not below[i]]
     if n == 0:
-        counts[0, 0] = 1
-    else:
-        walk(n, corners, corners if top is None else [i for i in corners if i in top], 0, 0, 0)
-    return counts
+        return Counter({(0, 0): 1})
+    north, west = shape.neighbours
+    # each cell with its south and east neighbours: cell i is an outer corner
+    # of `mask` when mask & reach[i] == 1 << i
+    reach = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in (north[i], west[i]):
+            if j >= 0:
+                reach[j] |= 1 << i
+    cell_info = [(1 << i, reach[i], r) for i, (r, _) in enumerate(cells)]
+    slot_bytes, fmt = next(s for s in _SLOTS if 8 * s[0] >= factorial(n).bit_length())
+    width = 8 * slot_bytes
+    memo: dict[int, int] = {}
+
+    def count(mask: int, last: int) -> int:
+        if not mask:
+            return 1
+        key = last << n | mask  # mask < 2**n
+        got = memo.get(key)
+        if got is None:
+            same = down = 0
+            for bit, reach, r in cell_info:
+                if mask & reach == bit:
+                    if last > r:
+                        down += count(mask ^ bit, r)
+                    else:
+                        same += count(mask ^ bit, r)
+            got = memo[key] = same + (down << (mask.bit_count() * n + 1) * width)
+        return got
+
+    full = (1 << n) - 1
+    total = sum(count(full ^ bit, r) for i, (bit, reach, r) in enumerate(cell_info)
+                if reach == bit and (top is None or i in top))
+    # `count` refers to itself, so without this the memo would outlive the
+    # call until the cyclic garbage collector ran
+    memo.clear()
+    nbytes = -(-total.bit_length() // width) * slot_bytes
+    slots = memoryview(total.to_bytes(nbytes, sys.byteorder)).cast(fmt)
+    return Counter({divmod(k, n): c for k, c in enumerate(slots) if c})
 
 
 def _maj_terms(fillings: Counter, base: int = 0, m: int = 1) -> Counter:
@@ -160,7 +183,7 @@ def _maj_terms(fillings: Counter, base: int = 0, m: int = 1) -> Counter:
 
 
 def maj_gf_oracle(shape) -> QPoly:
-    """Major-index generating function by direct enumeration."""
+    """Major-index generating function from the count of standard fillings."""
     return QPoly.from_terms(_maj_terms(_fillings(shape)))
 
 

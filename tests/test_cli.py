@@ -54,6 +54,13 @@ def test_support(capsys):
     assert rep["equal"] is True and rep["actual"] == [2, 4]
 
 
+def test_support_verify_at_the_cell_bound():
+    # 20 cells and 1.4e8 standard fillings
+    proc = run_cli(["support", "--shape", "6,5,4,3,2", "--verify"])
+    assert proc.returncode == 0, proc.stderr
+    assert '"equal":true' in proc.stdout
+
+
 def test_enumerate(capsys):
     assert main(["enumerate", "--shape", "3,2", "--stats", "maj,des"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -114,6 +121,7 @@ def test_argument_errors_exit_2():
         ["support", "--blocks", "|", "--d", "2"],
         ["verify", "--suite", "regression", "--threads", "-3"],
         ["verify", "--suite", "regression", "--threads", "0"],
+        ["verify", "--suite", "regression", "--max-n", "-3"],
     ):
         proc = run_cli(args)
         assert proc.returncode == 2 and "Traceback" not in proc.stderr, args

@@ -1,10 +1,12 @@
-"""The enumeration oracles, checked against the Tableau objects they replace."""
+"""The enumeration oracles, checked against the Tableau objects they replace
+and against a walk that visits every filling."""
 from collections import Counter
 
 import pytest
 
 from sytmaj.cli import main
-from sytmaj.qpolys import QPoly
+from sytmaj.genfun import gmdn_fake_degree, stanley
+from sytmaj.qpolys import QPoly, expand
 from sytmaj.shapes import BlockShape, Partition, SkewShape, parse_blocks, partitions
 from sytmaj.tableaux import (
     BoundExceeded,
@@ -31,6 +33,89 @@ SKEW_SHAPES = (
 
 def tableau_stats(shape) -> Counter:
     return Counter((t.maj(), t.des()) for t in enumerate_tableaux(shape))
+
+
+def walk_fillings(shape, top=None) -> Counter:
+    """(maj, des) counts by a walk that visits every standard filling once:
+    n, n-1, ..., 1 go in turn into an outer corner of the empty cells, and v
+    is a descent when v+1 sits in a strictly lower row.  With `top`, n goes
+    only into those cell indices."""
+    cells = shape.cells
+    n = len(cells)
+    north, west = shape.neighbours
+    below = [0] * n  # unfilled south and east neighbours of each cell
+    for j in north + west:
+        if j >= 0:
+            below[j] += 1
+    counts: Counter = Counter()
+
+    def walk(v, corners, choices, last, maj, des):
+        for i in choices:
+            r = cells[i][0]
+            maj_v, des_v = (maj + v, des + 1) if last > r else (maj, des)
+            if v == 1:
+                counts[maj_v, des_v] += 1
+                continue
+            rest = [c for c in corners if c != i]
+            for j in (north[i], west[i]):
+                if j >= 0:
+                    below[j] -= 1
+                    if not below[j]:
+                        rest.append(j)
+            walk(v - 1, rest, rest, r, maj_v, des_v)
+            for j in (north[i], west[i]):
+                if j >= 0:
+                    below[j] += 1
+
+    corners = [i for i in range(n) if not below[i]]
+    if n == 0:
+        counts[0, 0] = 1
+    else:
+        walk(n, corners, corners if top is None else [i for i in corners if i in top], 0, 0, 0)
+    return counts
+
+
+def gmdn_tops():
+    """Every (shape, top) pair that `gmdn_gf_oracle` passes to `_fillings` on
+    block shapes with n <= 5 and m <= 4."""
+    for n in range(6):
+        for m in range(1, 5):
+            for bs in block_shapes(n, m):
+                for d in (d for d in range(1, m + 1) if m % d == 0):
+                    for mu in bs.orbit(d):
+                        yield mu, set(range(sum(mu.alpha()[:m // d])))
+
+
+def test_fillings_match_walk():
+    shapes = [p for n in range(11) for p in partitions(n)]
+    shapes += [bs for n in range(6) for m in range(1, 4) for bs in block_shapes(n, m)]
+    shapes += SKEW_SHAPES
+    # rows 35 to 41: row numbers past 31 must not collide with the empty cells
+    shapes.append(SkewShape(Partition((2,) * 40 + (1,)), Partition((2,) * 34 + (1,))))
+    for shape in shapes:
+        assert _fillings(shape) == walk_fillings(shape), str(shape)
+        assert _fillings(shape, set()) == walk_fillings(shape, set()), str(shape)
+        assert not _fillings(shape, set()) or shape.n == 0, str(shape)
+    tops = list(gmdn_tops())
+    assert len(tops) > 1000
+    for shape, top in tops:
+        assert _fillings(shape, top) == walk_fillings(shape, top), (str(shape), top)
+
+
+@pytest.mark.parametrize("text", ["6,5,4,3,2", "5,5,5,5", "7,6,4,2,1", "10,10"])
+def test_type_a_oracles_at_the_cell_bound(text):
+    # 20 cells: up to 1.4e8 fillings, past what the walk can visit
+    p = Partition(tuple(int(x) for x in text.split(",")))
+    assert p.n == 20
+    assert maj_gf_oracle(p) == expand(stanley(p))
+    lo, hi = p.conjugate().part(1) - 1, p.n - p.part(1)
+    assert set(des_gf_oracle(p).support()) == set(range(lo, hi + 1))
+
+
+def test_gmdn_oracle_on_a_ten_cell_two_block_shape():
+    blocks = parse_blocks("4,3|2,1")
+    assert blocks.n == 10
+    assert gmdn_gf_oracle(blocks, 2, 2) == gmdn_fake_degree(blocks, 2, 2)
 
 
 def test_fillings_match_tableaux():
