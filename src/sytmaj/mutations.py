@@ -9,8 +9,15 @@ block-rule matchers read each value's row and column from arrays by value.
 permutation applied to a node's values plus one dict lookup, so no Tableau
 is built per cover.  The ground set is every standard filling minus, for a
 big rectangle, the two extremes, so a lookup that misses and is not one of
-those two is a filling the move left non-standard, and it raises.  The
-candidate search for one tableau's strong covers is `verify.strong_covers`.
+those two is a filling the move left non-standard, and it raises.
+
+On a self-conjugate shape transposition maps the ground set to itself and
+reverses maj, and the negative-rotation conditions are the positive ones
+with rows and columns swapped.  So there every transposed edge, and every
+negative-rotation edge, is a forward edge read back through the transpose,
+and only the positive rotations are scanned.  The candidate search for one
+tableau's strong covers, negative rotations included, is
+`verify.strong_covers`.
 """
 from __future__ import annotations
 
@@ -572,10 +579,10 @@ def poset_ground(p: Partition) -> list[Tableau]:
 
 
 def _forward_moves(t: Tableau) -> list[Move]:
-    """Rotations and the block rule at t: the strong moves read off t itself."""
-    coords = _value_coordinates(t)
+    """Positive rotations and the block rule at t: the strong step whose
+    transposed edges, on a self-conjugate shape, are all the others."""
     mv = block_rule(t)
-    return _positive_rotations(*coords) + _negative_rotations(*coords) + ([mv] if mv else [])
+    return positive_rotations(t) + ([mv] if mv else [])
 
 
 @dataclass(frozen=True)
@@ -631,7 +638,10 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
 
     When p is self-conjugate, t' is node tr[i] of the ground set, so each
     forward edge (i, j) of the transposed step gives the edge (tr[j], tr[i]),
-    checked as its forward edge was, and no tableau is transposed.
+    checked as its forward edge was, and no tableau is transposed.  A
+    negative rotation at t is a positive rotation at t' read back the same
+    way, so there the strong step is `_forward_moves` alone and every forward
+    edge is mirrored; other shapes add the negative rotations at each node.
     """
     ground, majs = _ground(p)
     index = {t.values: i for i, t in enumerate(ground)}
@@ -639,9 +649,9 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
         if p.is_big_rectangle() else {}
     conj, mirror = p.transpose_map
     if flavor == "strong":
-        # the transposed step is the block rule alone: no rotation (a move with an interval)
-        fault, check_maj, rotations_transpose = ValueError, False, False
-        step = _forward_moves
+        fault, check_maj = ValueError, False
+        step = _forward_moves if conj == p \
+            else lambda t: _forward_moves(t) + negative_rotations(t)
 
         def transposed(t: Tableau) -> tuple[Tableau | None, list[Move]]:
             if t.n < 2 or t.row_of(2) == 1:  # 1 is no descent
@@ -649,7 +659,7 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
             u = t.transpose()
             return u, [mv] if (mv := block_rule(u)) else []
     elif flavor == "weak":
-        fault, check_maj, rotations_transpose = PhiBranchError, True, True
+        fault, check_maj = PhiBranchError, True
         exc = {e.values for e in _exceptional(p)}
         exc_conj = {e.values for e in _exceptional(conj)}
 
@@ -685,7 +695,7 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
         for mv in step(t):
             if (j := land(i, mv, t, 1)) is not None:
                 edges.add((i, j))
-                if tr is not None and (rotations_transpose or mv.interval is None):
+                if tr is not None:
                     edges.add((tr[j], tr[i]))
         if tr is None:
             u, moves = transposed(t)

@@ -20,10 +20,17 @@ class ShapeNotOneRowBlocks(ValueError):
     """The word bijection needs every block to be a single row."""
 
 
+def _is_bijection(values: tuple[int, ...]) -> bool:
+    """Are the values exactly 1..len(values)?"""
+    return set(values) == set(range(1, len(values) + 1))
+
+
 class Tableau:
     """A standard filling of a shape; immutable by convention.
 
     `values[i]` is the entry in `shape.cells[i]` (cells in row-major order).
+    With `check=False` the caller vouches that the values are a bijection
+    onto 1..n and the filling is standard; neither is tested.
     """
 
     __slots__ = ("shape", "values", "_pos", "_hash")
@@ -35,7 +42,7 @@ class Tableau:
         n = len(cells)
         if len(values) != n:
             raise ValueError("value count does not match shape size")
-        if set(values) != set(range(1, n + 1)):
+        if check and not _is_bijection(values):
             raise ValueError(f"values must be a bijection onto 1..{n}")
         pos = [None] * n
         for cell, v in zip(cells, values):
@@ -86,7 +93,13 @@ class Tableau:
         )
 
     def maj(self) -> int:
-        return sum(self.descent_set())
+        """The sum of the descents, read straight from the positions."""
+        total = prev = 0
+        for i, (r, _) in enumerate(self._pos):  # value i+1 sits in row r
+            if r > prev:  # i is a descent (i = 0 adds nothing)
+                total += i
+            prev = r
+        return total
 
     def des(self) -> int:
         return len(self.descent_set())
@@ -96,11 +109,13 @@ class Tableau:
         return Tableau(self.shape, tuple(perm.get(v, v) for v in self.values), check=True)
 
     def relabel_unchecked(self, perm: dict[int, int]) -> "Tableau | None":
-        """Like relabel but returns None if the result is not standard."""
-        try:
-            t = Tableau(self.shape, tuple(perm.get(v, v) for v in self.values), check=False)
-        except ValueError:
+        """Like relabel but returns None if the result is not a standard
+        filling: a value sent past 1..n, two values sent to one, or a row
+        or column that does not increase."""
+        values = tuple(perm.get(v, v) for v in self.values)
+        if not _is_bijection(values):
             return None
+        t = Tableau(self.shape, values, check=False)
         return t if t._is_standard() else None
 
     def transpose(self) -> "Tableau":

@@ -45,6 +45,7 @@ from .mutations import (
     _forward_moves,
     block_rule,
     build_poset,
+    negative_rotations,
     phi,
     verify_ranked,
 )
@@ -337,10 +338,13 @@ def inverse_transpose_block_moves(t: Tableau) -> list[Move]:
 
 def strong_covers(t: Tableau) -> list[Tableau]:
     """Upper covers of t in the strong order: rotations, block rules, and
-    inverse-transpose block rules, kept inside the ground set."""
+    inverse-transpose block rules, kept inside the ground set.  Every move is
+    searched at t itself: the negative rotations are scanned here even on a
+    self-conjugate shape, where `build_poset` reads them off the transpose."""
     p = t.shape
     excl = {minmaj_tableau(p), maxmaj_tableau(p)} if p.is_big_rectangle() else set()
-    out = {mv.apply(t) for mv in _forward_moves(t) + inverse_transpose_block_moves(t)}
+    moves = _forward_moves(t) + negative_rotations(t) + inverse_transpose_block_moves(t)
+    out = {mv.apply(t) for mv in moves}
     return sorted(out - excl, key=lambda y: y.row_reading_word())
 
 

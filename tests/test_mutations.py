@@ -374,11 +374,26 @@ def test_poset_dots_golden_to_n9():
         "7ba1d6c02481630eaece3fca6e73271360ca0b36020be704fb77a562077ba4d9"
 
 
+def test_self_conjugate_poset_dots_golden_n10_to_n12():
+    # sha256 of the to_dot() of the seven self-conjugate shapes with
+    # 10 <= n <= 12, strong then weak, as built with both rotation scans
+    shapes = [p for n in range(10, 13) for p in partitions(n) if p.conjugate() == p]
+    assert [str(p) for p in shapes] == ["5,2,1,1,1", "4,3,2,1", "6,1,1,1,1,1", "4,3,3,1",
+                                        "6,2,1,1,1,1", "5,3,2,1,1", "4,4,2,2"]
+    digest = hashlib.sha256()
+    for p in shapes:
+        for flavor in ("strong", "weak"):
+            digest.update(build_poset(p, flavor).to_dot().encode())
+    assert digest.hexdigest() == \
+        "f7ce1aebc533cfaa7d0156c955b69153fcdf26474f8811fceeb42ab8693d58f4"
+
+
 def explicit_edges(p, flavor):
     """Both steps taken literally on a shape's ground set: the forward step
     at each node t, and the transposed step at t' read back onto t.  The
     forward edges come split into those whose move the transposed step
-    also takes (the block rule, or phi) and the rest (rotations)."""
+    also takes (the block rule, or phi) and the rest, the positive and the
+    negative rotations."""
     ground = poset_ground(p)
     index = {t.values: i for i, t in enumerate(ground)}
     exc, exc_conj = exceptional_set(p), exceptional_set(p.conjugate())
@@ -392,18 +407,20 @@ def explicit_edges(p, flavor):
         perm = mv.permutation()
         return index.get(tuple(perm.get(v, v) for v in t.values))
 
-    shared, rotations, transposed = set(), set(), set()
+    shared, positives, negatives, transposed = set(), set(), set(), set()
     for i, t in enumerate(ground):
         for mv in step(t, exc):
             if (j := lands(t, mv)) is not None:
                 shared.add((i, j))
         if flavor == "strong":
-            rotations |= {(i, j) for mv in positive_rotations(t) + negative_rotations(t)
+            positives |= {(i, j) for mv in positive_rotations(t)
+                          if (j := lands(t, mv)) is not None}
+            negatives |= {(i, j) for mv in negative_rotations(t)
                           if (j := lands(t, mv)) is not None}
         for mv in step(t.transpose(), exc_conj):
             if (j := lands(t, mv)) is not None:
                 transposed.add((j, i))
-    return ground, index, shared, rotations, transposed
+    return ground, index, shared, positives, negatives, transposed
 
 
 @pytest.mark.parametrize("flavor", ["strong", "weak"])
@@ -411,11 +428,42 @@ def test_self_conjugate_transposed_edges_mirror_forward_edges(flavor):
     shapes = [p for n in range(11) for p in partitions(n) if p.conjugate() == p]
     assert len(shapes) == 13
     for p in shapes:
-        ground, index, shared, rotations, transposed = explicit_edges(p, flavor)
+        ground, index, shared, positives, negatives, transposed = explicit_edges(p, flavor)
         tr = [index[t.transpose().values] for t in ground]
         assert transposed == {(tr[j], tr[i]) for i, j in shared}, (p, flavor)
-        assert build_poset(p, flavor).edge_pairs() == shared | rotations | transposed, \
-            (p, flavor)
+        # the negative-rotation edges are the positive ones read back
+        # through the transpose, so the strong order scans only the latter
+        assert negatives == {(tr[j], tr[i]) for i, j in positives}, (p, flavor)
+        assert build_poset(p, flavor).edge_pairs() == \
+            shared | positives | negatives | transposed, (p, flavor)
+
+
+def test_strong_posets_scan_negative_rotations_off_self_conjugate_shapes(monkeypatch):
+    calls = Counter()
+    for name in ("_positive_rotations", "_negative_rotations"):
+        real = getattr(mutations, name)
+        monkeypatch.setattr(mutations, name, lambda rows, cols, real=real, name=name:
+                            calls.update([name]) or real(rows, cols))
+    # self-conjugate: the negative rotations are the mirrored positive ones
+    poset = build_poset(parse_partition("4,3,2,1"), "strong")
+    assert calls == {"_positive_rotations": len(poset.elements)}
+    calls.clear()
+    poset = build_poset(parse_partition("5,2,2,1"), "strong")
+    assert calls == {"_positive_rotations": len(poset.elements),
+                     "_negative_rotations": len(poset.elements)}
+
+
+@pytest.mark.parametrize("shape", ["3,2,1", "4,2,1", "3,3"])
+def test_strong_covers_oracle_scans_negative_rotations(shape):
+    # The oracle searches every move at t itself, whatever the strong step
+    # of build_poset leaves to the transpose.
+    ground = poset_ground(parse_partition(shape))
+    kept = set(ground)
+    for t in ground:
+        covers = set(strong_covers(t))
+        for mv in negative_rotations(t):
+            if (y := mv.apply(t)) in kept:
+                assert y in covers, (shape, t.to_text(), mv)
 
 
 def test_posets_take_each_step_once(monkeypatch):

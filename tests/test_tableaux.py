@@ -76,6 +76,16 @@ def test_tableau_rejects_non_bijections():
     assert Tableau(p, (1, 2, 3)).values == (1, 2, 3)
 
 
+def test_relabel_unchecked_rejects_what_is_not_a_standard_filling():
+    t = from_rows([[1, 2], [3]])
+    assert t.relabel_unchecked({3: 4, 4: 3}) is None  # a value past n
+    assert t.relabel_unchecked({3: 0, 0: 3}) is None  # a value below 1
+    assert t.relabel_unchecked({2: 3}) is None  # 2 and 3 both become 3
+    assert t.relabel_unchecked({1: 2, 2: 1}) is None  # a row decreases
+    assert t.relabel_unchecked({2: 3, 3: 2}) == from_rows([[1, 3], [2]])
+    assert t.relabel_unchecked({}) == t
+
+
 def test_enumerate_counts():
     assert count_tableaux(Partition((4, 2))) == 9
     assert count_tableaux(Partition((1, 1, 1))) == 1
