@@ -64,13 +64,8 @@ from .genfun import (
     wreath_fake_degree,
 )
 from .deformed import (
-    composition_degree,
-    deformed_binomial,
     deformed_multinomial,
-    deformed_multinomial_rational,
     partial_sum_multinomial,
-    partial_sum_multinomial_by_sum,
-    q_mult_recurrence_check,
     rotate_right,
     rotation_class,
 )
@@ -119,10 +114,8 @@ __all__ = [
     "gmdn_fake_degree", "mahonian_count", "stanley", "syt_count",
     "wreath_fake_degree",
     # deformed
-    "composition_degree", "deformed_binomial", "deformed_multinomial",
-    "deformed_multinomial_rational", "partial_sum_multinomial",
-    "partial_sum_multinomial_by_sum", "q_mult_recurrence_check",
-    "rotate_right", "rotation_class",
+    "deformed_multinomial", "partial_sum_multinomial", "rotate_right",
+    "rotation_class",
     # mutations
     "ExceptionalTableau", "Move", "PhiBranchError", "SytPoset", "block_rule",
     "build_poset", "negative_rotations", "phi", "phi_move",

@@ -10,9 +10,8 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from math import comb, factorial
-from operator import add
 
-from .deformed import _dec, rotation_class
+from .deformed import _rotation_sum, rotation_class
 from .qpolys import (
     BinomialForm,
     QPoly,
@@ -23,12 +22,10 @@ from .qpolys import (
 from .shapes import (
     BlockShape,
     Partition,
-    b_composition,
     b_statistic,
     hook_lengths,
     partitions,
 )
-from .tableaux import DNotDividingM
 
 
 def stanley(p: Partition) -> BinomialForm:
@@ -155,37 +152,18 @@ def gmdn_fake_degree(blocks: BlockShape, m: int, d: int) -> QPoly:
     """Fake degree polynomial for G(m,d,n): the deformed multinomial times
     the blocks' hook products at q**m, divided by d/|orbit|.
 
-    The deformed multinomial is a sum over the d rotations beta of alpha and
-    the first m/d deletion positions v of q**(b(beta) + m*prefix) times the
-    multinomial of beta with entry v decreased, at q**m; every term times
-    the hook products is one binomial-form expansion.
+    Each rotation beta of alpha contributes q**b(beta) [n; alpha]
+    [A(beta)]/[n] at q**m, with A(beta) the sum of the first m/d entries of
+    beta (its m/d deletion terms, telescoped); times the hook products that
+    is one binomial-form expansion per rotation.
     """
     if blocks.m != m:
         raise ValueError(f"block count {blocks.m} != m={m}")
-    if d <= 0 or m % d:
-        raise DNotDividingM(f"d={d} does not divide m={m}")
-    n = blocks.n
-    if n == 0:
-        return QPoly.one()  # G(m,d,0) is trivial: one irreducible, fake degree 1
-    shift, hooks = _hook_form(blocks)
-    terms = []
-    for beta in rotation_class(blocks.alpha(), d):
-        prefix = 0
-        for v in range(1, m // d + 1):
-            if beta[v - 1]:
-                exps = multinomial_exponents(n - 1, _dec(beta, v))
-                exps.update(hooks)
-                lift = b_composition(beta) + m * (prefix + shift)
-                terms.append(expand(BinomialForm(lift, {m * k: e for k, e in exps.items()})))
-            prefix += beta[v - 1]
-    lo = min(term.offset for term in terms)
-    out = [0] * (max(term.degree for term in terms) + 1 - lo)
-    for term in terms:
-        i = term.offset - lo
-        out[i : i + len(term.coeffs)] = map(add, out[i : i + len(term.coeffs)], term.coeffs)
-    orbit = len(blocks.orbit(d))
+    poly = _rotation_sum(blocks.alpha(), d, *_hook_form(blocks))
+    if not blocks.n:
+        return poly  # G(m,d,0) is trivial: one irreducible, fake degree 1
+    orbit = len(set(rotation_class(blocks.blocks, d)))
     if d % orbit:
         raise AssertionError("orbit size must divide d")
     t = d // orbit
-    poly = QPoly(lo, out)
     return divide_exact_int(poly, t) if t > 1 else poly

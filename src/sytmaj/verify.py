@@ -1,8 +1,10 @@
 """Enumeration oracles and the verification suites behind `sytmaj verify`.
 
 Every closed formula in the package is re-derived here independently:
-standard-filling counts, word enumeration, exhaustive move application, or
-(for the q-hook-length product) cyclotomic factors multiplied out.
+standard-filling counts, word enumeration, exhaustive move application,
+(for the q-hook-length product) cyclotomic factors multiplied out, or (for
+the deformed and partial sum multinomials) their defining sums of deletion
+terms and the rational definition by exact division.
 The tableau oracles share one count, `_fillings`, of the standard fillings
 by (maj, des), built by placing n, n-1, ..., 1 into the outer corners of the
 cells still empty.  It counts each state (bitmask of the empty cells, row
@@ -28,12 +30,7 @@ from functools import cache
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
-from .deformed import (
-    deformed_multinomial,
-    deformed_multinomial_rational,
-    partial_sum_multinomial,
-    rotation_class,
-)
+from .deformed import deformed_multinomial, partial_sum_multinomial, rotation_class
 from .genfun import gmdn_fake_degree, stanley, syt_count, wreath_fake_degree
 from .mutations import (
     Move,
@@ -286,6 +283,75 @@ def word_inv_oracle(alpha: tuple[int, ...], k: int) -> QPoly:
     return QPoly.from_terms(total)
 
 
+def _dec(alpha: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Decrease entry i (1-based); may go negative, triggering the zero
+    convention in the multinomial."""
+    return alpha[: i - 1] + (alpha[i - 1] - 1,) + alpha[i:]
+
+
+def partial_sum_multinomial_by_sum(alpha, k: int) -> QPoly:
+    """The defining sum over the first k deletion positions."""
+    alpha = tuple(alpha)
+    n = sum(alpha)
+    out = QPoly.zero()
+    prefix = 0
+    for i in range(1, k + 1):
+        out = out + q_multinomial(n - 1, _dec(alpha, i)).shift(prefix)
+        prefix += alpha[i - 1]
+    return out
+
+
+def q_mult_recurrence_check(alpha) -> bool:
+    """Deletion recurrence for the q-multinomial: summing the first-letter
+    contributions over all positions recovers the full multinomial."""
+    alpha = tuple(alpha)
+    n = sum(alpha)
+    return q_multinomial(n, alpha) == partial_sum_multinomial_by_sum(alpha, len(alpha))
+
+
+def deformed_multinomial_by_deletion(alpha, d: int) -> QPoly:
+    """Division-free summation formula: over the d rotations sigma, add
+    q**b(sigma.alpha) times the first m/d deletion terms of the recurrence
+    for the multinomial in q**m."""
+    alpha = tuple(alpha)
+    m = len(alpha)
+    if d <= 0 or m % d:
+        raise DNotDividingM(f"d={d} does not divide m={m}")
+    n = sum(alpha)
+    if n == 0:
+        return QPoly.one()  # the deletion recurrence needs a letter to delete
+    out = QPoly.zero()
+    for beta in rotation_class(alpha, d):
+        inner = QPoly.zero()
+        prefix = 0
+        for v in range(1, m // d + 1):
+            inner = inner + substitute_power(
+                q_multinomial(n - 1, _dec(beta, v)), m
+            ).shift(m * prefix)
+            prefix += beta[v - 1]
+        out = out + inner.shift(b_composition(beta))
+    return out
+
+
+def deformed_multinomial_rational(alpha, d: int) -> QPoly:
+    """The defining rational expression, by exact division; raises
+    NonzeroRemainder if the division fails."""
+    alpha = tuple(alpha)
+    m = len(alpha)
+    if d <= 0 or m % d:
+        raise DNotDividingM(f"d={d} does not divide m={m}")
+    n = sum(alpha)
+    num = QPoly.zero()
+    for beta in rotation_class(alpha, d):
+        num = num + QPoly.monomial(b_composition(beta))
+    num = num * substitute_power(q_multinomial(n, alpha), m)
+    if n == 0:
+        den = QPoly(0, (d,))  # [d] at q**0 degenerates to the constant d
+    else:
+        den = substitute_power(QPoly(0, (1,) * d), n * m // d)  # [d] in q**(nm/d)
+    return divide_exact(num, den)
+
+
 def _candidate_block_moves(n: int) -> Iterator[Move]:
     for a in range(2, n + 1):
         for b in range(2, n // a + 1):
@@ -457,6 +523,38 @@ def _check_gmdn_block(arg: tuple[str, int, int]) -> tuple[str, bool, str]:
     return name, True, ""
 
 
+def _check_composition(alpha: tuple[int, ...]) -> tuple[int, list[tuple[str, bool, str]]]:
+    """Every deformed multinomial of alpha against the rational and the
+    deletion-term oracles, and every partial sum against word enumeration."""
+    m = len(alpha)
+    bad = []
+    checked = 0
+    for d in (d for d in range(1, m + 1) if m % d == 0):
+        summ = deformed_multinomial(alpha, d)
+        checked += 1
+        if not (summ == deformed_multinomial_rational(alpha, d)
+                == deformed_multinomial_by_deletion(alpha, d)):
+            bad.append((f"alpha={alpha} d={d}", False, "formula mismatch"))
+    for k in range(1, m + 1):
+        got = partial_sum_multinomial(alpha, k)
+        want = word_inv_oracle(alpha, k)
+        facts = shape_predicates(got)
+        checked += 1
+        if got != want or not (facts.symmetric and facts.unimodal):
+            bad.append((f"p alpha={alpha} k={k}", False, f"{got!r} != {want!r}"))
+    return checked, bad
+
+
+def _check_bipartition(shape_str: str) -> tuple[int, list[tuple[str, bool, str]]]:
+    """The type B and type D fake degrees of lam|mu against their products."""
+    blocks = parse_blocks(shape_str)
+    lam, mu = blocks.blocks
+    okb = type_b_closed_form(lam, mu) == wreath_fake_degree(blocks, 2)
+    okd = type_d_closed_form(lam, mu) == gmdn_fake_degree(blocks, 2, 2)
+    bad = [] if okb and okd else [(f"({lam})|({mu})", False, f"B ok={okb} D ok={okd}")]
+    return 2, bad
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -590,37 +688,19 @@ def suite_regression() -> list[CheckResult]:
     return _aggregate("regression", rows, per_item=True)
 
 
+def _tally(suite: str, what: str, results: list[tuple[int, list]]) -> list[CheckResult]:
+    """The failing rows in work order, or one row with the number of checks."""
+    rows = [row for _, bad in results for row in bad]
+    checked = sum(n for n, _ in results)
+    if checked and not rows:
+        rows.append((f"{checked} {what} checks", True, ""))
+    return _aggregate(suite, rows, per_item=True)
+
+
 def suite_deformed(max_n: int = 8, max_m: int = 6, threads: int = 1) -> list[CheckResult]:
-    rows: list[tuple[str, bool, str]] = []
-    bad = 0
-    checked = 0
-    for n in range(1, max_n + 1):
-        for m in range(1, max_m + 1):
-            divisors = [d for d in range(1, m + 1) if m % d == 0]
-            for alpha in weak_compositions(n, m):
-                for d in divisors:
-                    summ = deformed_multinomial(alpha, d)
-                    rat = deformed_multinomial_rational(alpha, d)
-                    chain = QPoly.zero()
-                    for beta in rotation_class(alpha, d):
-                        chain = chain + substitute_power(
-                            partial_sum_multinomial(beta, m // d), m
-                        ).shift(b_composition(beta))
-                    checked += 1
-                    if not (summ == rat == chain):
-                        bad += 1
-                        rows.append((f"alpha={alpha} d={d}", False, "formula mismatch"))
-                for k in range(1, m + 1):
-                    got = partial_sum_multinomial(alpha, k)
-                    want = word_inv_oracle(alpha, k)
-                    facts = shape_predicates(got)
-                    checked += 1
-                    if got != want or not (facts.symmetric and facts.unimodal):
-                        bad += 1
-                        rows.append((f"p alpha={alpha} k={k}", False, f"{got!r} != {want!r}"))
-    if checked and not bad:
-        rows.append((f"{checked} deformed checks", True, ""))
-    return _aggregate("deformed", rows, per_item=True)
+    work = [alpha for n in range(1, max_n + 1) for m in range(1, max_m + 1)
+            for alpha in weak_compositions(n, m)]
+    return _tally("deformed", "deformed", _map_maybe_parallel(_check_composition, work, threads))
 
 
 def suite_gmdn(max_n: int = 6, max_m: int = 4, threads: int = 1) -> list[CheckResult]:
@@ -663,23 +743,10 @@ def type_d_closed_form(lam: Partition, mu: Partition) -> QPoly:
 
 
 def suite_closed_forms(max_n: int = 6, threads: int = 1) -> list[CheckResult]:
-    rows: list[tuple[str, bool, str]] = []
-    bad = 0
-    checked = 0
-    for n in range(1, max_n + 1):
-        for k in range(0, n + 1):
-            for lam in partitions(k):
-                for mu in partitions(n - k):
-                    blocks = BlockShape((lam, mu))
-                    okb = type_b_closed_form(lam, mu) == wreath_fake_degree(blocks, 2)
-                    okd = type_d_closed_form(lam, mu) == gmdn_fake_degree(blocks, 2, 2)
-                    checked += 2
-                    if not (okb and okd):
-                        bad += 1
-                        rows.append((f"({lam})|({mu})", False, f"B ok={okb} D ok={okd}"))
-    if checked and not bad:
-        rows.append((f"{checked} closed-form checks", True, ""))
-    return _aggregate("closed-forms", rows, per_item=True)
+    work = [f"{lam}|{mu}" for n in range(1, max_n + 1) for k in range(n + 1)
+            for lam in partitions(k) for mu in partitions(n - k)]
+    results = _map_maybe_parallel(_check_bipartition, work, threads)
+    return _tally("closed-forms", "closed-form", results)
 
 
 PERF_SHAPE = Partition((19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1))

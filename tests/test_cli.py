@@ -1,7 +1,11 @@
 import json
+import multiprocessing
 import subprocess
 import sys
 
+import pytest
+
+import sytmaj.verify as V
 from sytmaj.cli import main
 from sytmaj.qpolys import QPoly
 
@@ -146,3 +150,35 @@ def test_output_determinism():
     c = run_cli(["poset", "--shape", "3,2,1", "--order", "weak", "--format", "dot"])
     d = run_cli(["poset", "--shape", "3,2,1", "--order", "weak", "--format", "dot"])
     assert c.stdout == d.stdout
+
+
+@pytest.mark.parametrize("suite", ["deformed", "closed-forms"])
+def test_verify_threads_print_the_threads_1_lines(capsys, monkeypatch, suite):
+    pool_sizes = []
+    fan_out = V._map_maybe_parallel
+
+    def spy(fn, items, threads):
+        pool_sizes.append(threads)
+        return fan_out(fn, items, threads)
+
+    monkeypatch.setattr(V, "_map_maybe_parallel", spy)
+    outs = []
+    for threads in ("1", "2"):
+        assert main(["verify", "--suite", suite, "--max-n", "5", "--threads", threads]) == 0
+        outs.append(capsys.readouterr().out)
+    assert pool_sizes == [1, 2]
+    assert outs[0] == outs[1]
+    assert outs[0].endswith("checks\nPASS (1 results)\n")
+
+
+def test_parallel_failure_rows_keep_work_order(monkeypatch):
+    # the workers inherit the broken oracles only through fork
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs forked workers")
+    monkeypatch.setattr(V, "deformed_multinomial_rational", lambda alpha, d: V.QPoly.zero())
+    monkeypatch.setattr(V, "type_d_closed_form", lambda lam, mu: V.QPoly.zero())
+    for run in (lambda t: V.suite_deformed(max_n=3, max_m=3, threads=t),
+                lambda t: V.suite_closed_forms(max_n=4, threads=t)):
+        serial = run(1)
+        assert len(serial) > 10 and not any(r.ok for r in serial)
+        assert run(2) == serial

@@ -1,16 +1,14 @@
+import hashlib
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, strategies as st
 
+import sytmaj.deformed
+import sytmaj.genfun
 from sytmaj.deformed import (
-    composition_degree,
-    deformed_binomial,
     deformed_multinomial,
-    deformed_multinomial_rational,
     partial_sum_multinomial,
-    partial_sum_multinomial_by_sum,
-    q_mult_recurrence_check,
     rotate_right,
     rotation_class,
 )
@@ -23,14 +21,42 @@ from sytmaj.qpolys import (
     shape_predicates,
     substitute_power,
 )
-from sytmaj.shapes import BlockShape, Partition, b_composition
+from sytmaj.shapes import BlockShape, Partition, b_composition, parse_blocks
 from sytmaj.tableaux import DNotDividingM
-from sytmaj.verify import weak_compositions, word_inv_oracle
+from sytmaj.verify import (
+    block_shapes,
+    deformed_multinomial_by_deletion,
+    deformed_multinomial_rational,
+    gmdn_gf_oracle,
+    partial_sum_multinomial_by_sum,
+    q_mult_recurrence_check,
+    weak_compositions,
+    word_inv_oracle,
+)
 
 EX_72 = QPoly.from_terms(
     {6: 1, 8: 1, 10: 3, 12: 3, 14: 6, 16: 5, 18: 8, 20: 6, 22: 8,
      24: 5, 26: 6, 28: 3, 30: 3, 32: 1, 34: 1}
 )
+
+
+def composition_degree(alpha) -> int:
+    """Degree of the q-multinomial for alpha: C(n,2) - sum C(alpha_i,2)."""
+    alpha = tuple(alpha)
+    n = sum(alpha)
+    return n * (n - 1) // 2 - sum(a * (a - 1) // 2 for a in alpha)
+
+
+def deformed_binomial(n: int, k: int) -> QPoly:
+    """Two-part deformed multinomial at d=2, by the Pascal-type identity."""
+    if not 0 <= k <= n:
+        raise ValueError(f"k={k} out of range 0..{n}")
+    if n == 0:
+        return QPoly.one()
+    return (
+        substitute_power(q_binomial(n - 1, k - 1), 2).shift(n - k)
+        + substitute_power(q_binomial(n - 1, k), 2).shift(k)
+    )
 
 
 @dataclass(frozen=True)
@@ -215,3 +241,104 @@ def test_rotation_b_increment(alpha, d):
     tau = rotate_right(alpha, step)
     n = sum(alpha)
     assert b_composition(tau) - b_composition(alpha) == n * step - m * sum(alpha[m - step:])
+
+
+# sha256 over the to_json_str() lines, taken from the deletion-term sum the
+# rotation-sum form replaced; n <= 7 and m <= 5 for the compositions, n <= 5
+# and m <= 4 for the block shapes, n = 0 included, every d dividing m
+COMPS = [alpha for n in range(8) for m in range(1, 6) for alpha in weak_compositions(n, m)]
+GOLDEN = {
+    "deformed": "a4ca3ad4a7f86d3fa97dde1ce74f6137542fce496491f2b447fb9207e6c11931",
+    "partial": "17fe5488d9afae51a219a791ef92c95c1dd79d0eac0d6e0436d372455b6ee1f7",
+    "gmdn": "f927fe99a5474ad1940116094f7ce0cc0d989a75adf551c0c42e4456538b4fd3",
+}
+
+
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def _sha(polys) -> str:
+    return hashlib.sha256("\n".join(p.to_json_str() for p in polys).encode()).hexdigest()
+
+
+def test_rotation_sum_golden():
+    assert len(COMPS) == 1286
+    assert _sha(deformed_multinomial(a, d) for a in COMPS for d in _divisors(len(a))) \
+        == GOLDEN["deformed"]
+    assert _sha(partial_sum_multinomial(a, k) for a in COMPS for k in range(1, len(a) + 1)) \
+        == GOLDEN["partial"]
+    assert _sha(gmdn_fake_degree(b, m, d) for n in range(6) for m in range(1, 5)
+                for d in _divisors(m) for b in block_shapes(n, m)) == GOLDEN["gmdn"]
+
+
+def test_one_kernel_call_per_rotation(monkeypatch):
+    calls = []
+    expand = sytmaj.deformed.expand
+
+    def counting(form):
+        calls.append(form)
+        return expand(form)
+
+    monkeypatch.setattr(sytmaj.deformed, "expand", counting)
+    for alpha in COMPS:
+        m = len(alpha)
+        for d in _divisors(m):
+            calls.clear()
+            deformed_multinomial(alpha, d)
+            assert len(calls) <= d, (alpha, d)
+        for k in range(1, m + 1):
+            calls.clear()
+            partial_sum_multinomial(alpha, k)
+            assert len(calls) <= 1, (alpha, k)
+    for shape, m, d in [("2|3,1", 2, 2), ("1|1|2", 3, 3), ("1||1,1|", 4, 2), ("2,1|1|1|", 4, 4)]:
+        calls.clear()
+        gmdn_fake_degree(parse_blocks(shape), m, d)
+        assert 0 < len(calls) <= d, shape
+
+
+def test_rotation_sum_multiplies_no_polynomials(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("polynomial arithmetic outside the kernel")
+
+    cases = [((2, 1, 1, 1), 2), ((3, 0, 2, 1), 4), ((0, 2, 0, 1), 2), ((4, 1, 0), 3)]
+    blocks = [(parse_blocks("2|3,1"), 2, 2), (parse_blocks("2,1|1|1|"), 4, 2)]
+    with monkeypatch.context() as mp:
+        for name in ("__mul__", "__rmul__", "__add__"):
+            mp.setattr(QPoly, name, refuse)
+        for module in (sytmaj.qpolys, sytmaj.deformed, sytmaj.genfun):
+            if hasattr(module, "substitute_power"):
+                mp.setattr(module, "substitute_power", refuse)
+        got = [deformed_multinomial(a, d) for a, d in cases]
+        got_p = [partial_sum_multinomial(a, k) for a, _ in cases for k in range(1, len(a) + 1)]
+        got_g = [gmdn_fake_degree(b, m, d) for b, m, d in blocks]
+    assert got == [deformed_multinomial_by_deletion(a, d) for a, d in cases]
+    assert got_p == [partial_sum_multinomial_by_sum(a, k) for a, _ in cases
+                     for k in range(1, len(a) + 1)]
+    assert got_g == [gmdn_gf_oracle(b, m, d) for b, m, d in blocks]
+
+
+def test_zero_content_edge_cases():
+    assert deformed_multinomial((), 1) == QPoly.one()
+    for m in range(1, 5):
+        zero = (0,) * m
+        for d in _divisors(m):
+            assert deformed_multinomial(zero, d) == QPoly.one()
+        # the empty word: the product formula gives 1 at k = m, 0 below
+        for k in range(1, m):
+            assert partial_sum_multinomial(zero, k).is_zero()
+        assert partial_sum_multinomial(zero, m) == QPoly.one()
+    with pytest.raises(DNotDividingM):
+        deformed_multinomial((0, 0, 0), 2)
+    with pytest.raises(ValueError):
+        partial_sum_multinomial((0, 0), 3)
+
+
+def test_oracles_live_in_verify():
+    import sytmaj
+
+    for name in ("deformed_multinomial_rational", "partial_sum_multinomial_by_sum",
+                 "q_mult_recurrence_check", "deformed_multinomial_by_deletion",
+                 "composition_degree", "deformed_binomial"):
+        assert not hasattr(sytmaj.deformed, name), name
+        assert name not in sytmaj.__all__, name

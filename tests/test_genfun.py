@@ -16,7 +16,6 @@ from sytmaj.genfun import (
     syt_count,
     wreath_fake_degree,
 )
-from sytmaj.deformed import deformed_multinomial
 from sytmaj.qpolys import (
     QPoly,
     divide_exact,
@@ -29,7 +28,12 @@ from sytmaj.qpolys import (
 )
 from sytmaj.shapes import BlockShape, Partition, b_statistic, hook_lengths, parse_blocks, partitions
 from sytmaj.tableaux import DNotDividingM
-from sytmaj.verify import block_shapes, gmdn_gf_oracle, maj_gf_oracle
+from sytmaj.verify import (
+    block_shapes,
+    deformed_multinomial_by_deletion,
+    gmdn_gf_oracle,
+    maj_gf_oracle,
+)
 
 N83 = "10,8,6,4,2|9,7,5,3,1|6,6,6|5,5"
 
@@ -74,8 +78,9 @@ def old_block_maj_gf(bs):
 
 
 def old_gmdn_fake_degree(bs, m, d):
-    """Deformed multinomial times the hook products, over d/|orbit|."""
-    out = deformed_multinomial(bs.alpha(), d) * hook_products_at_power(bs, m)
+    """Deformed multinomial, as the deletion-term sum, times the hook
+    products, over d/|orbit|."""
+    out = deformed_multinomial_by_deletion(bs.alpha(), d) * hook_products_at_power(bs, m)
     return divide_exact_int(out, d // len(bs.orbit(d)))
 
 
