@@ -14,8 +14,15 @@ the number of order ideals of the shape.  The G(m,d,n) oracle lets n go
 only into the first m/d blocks, so it counts only canonical orbit
 representatives.  `strong_covers` finds one tableau's strong covers by
 trying every candidate block move, for the poset suite to compare with
-`build_poset`'s.  Each suite returns one CheckResult per unit of work; the
-CLI prints them and fails on any mismatch.
+`build_poset`'s.
+
+The suites are the rows of one table, `SUITES`.  A bounded row gives its
+default size bounds, its case generator and its per-case checks; one runner
+caps every n-bound by --max-n, fans the cases out over the worker processes
+and reports by one rule: the failing rows in work order, or one `N checks`
+row, or `no cases ran`.  The rows with fixed cases, `regression` and
+`performance`, report every check.  The CLI prints the rows and fails on
+any mismatch.
 """
 from __future__ import annotations
 
@@ -26,7 +33,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
@@ -78,7 +85,7 @@ from .tableaux import (
     maxmaj_tableau,
     minmaj_tableau,
 )
-from .zeros import support_gmdn, support_type_A, verify_support
+from .zeros import check_parity_unimodal, support_gmdn, support_type_A, verify_support
 
 
 @dataclass(frozen=True)
@@ -502,12 +509,6 @@ def _check_majdes(shape_str: str) -> tuple[str, bool, str]:
     return shape_str, ok, "" if ok else f"maj-des gap: {sorted(vals)}"
 
 
-def _check_parity(shape_str: str) -> tuple[str, bool, str]:
-    p = parse_partition(shape_str)
-    facts = shape_predicates(expand(stanley(p)))
-    return shape_str, facts.parity_unimodal, ""
-
-
 def _check_gmdn_block(arg: tuple[str, int, int]) -> tuple[str, bool, str]:
     shape_str, m, d = arg
     blocks = parse_blocks(shape_str)
@@ -566,55 +567,27 @@ def _map_maybe_parallel(fn: Callable, items: list, threads: int) -> list:
     return [fn(x) for x in items]
 
 
-def _aggregate(suite: str, rows: Iterable[tuple[str, bool, str]], per_item: bool = False) -> list[CheckResult]:
-    out = [CheckResult(suite, name, ok, detail) for name, ok, detail in rows]
-    if not out:
-        return [CheckResult(suite, "no cases ran", False)]
-    if per_item:
-        return out
-    bad = [r for r in out if not r.ok]
-    if bad:
-        return bad
-    return [CheckResult(suite, f"{len(out)} checks", True)]
+def _shapes(max_n: int) -> list[Partition]:
+    return [p for n in range(1, max_n + 1) for p in partitions(n)]
 
 
-def _shape_strings(ns: Iterable[int]) -> list[str]:
-    return [str(p) for n in ns for p in partitions(n)]
+def _shape_strings(max_n: int) -> list[str]:
+    return [str(p) for p in _shapes(max_n)]
 
 
-def suite_stanley(max_n: int = 12, threads: int = 1) -> list[CheckResult]:
-    rows = _map_maybe_parallel(_check_stanley, _shape_strings(range(1, max_n + 1)), threads)
-    return _aggregate("stanley", rows)
+def _compositions(max_n: int, max_m: int) -> list[tuple[int, ...]]:
+    return [alpha for n in range(1, max_n + 1) for m in range(1, max_m + 1)
+            for alpha in weak_compositions(n, m)]
 
 
-def suite_support_a(max_n: int = 12, threads: int = 1) -> list[CheckResult]:
-    rows = _map_maybe_parallel(_check_support_a, _shape_strings(range(1, max_n + 1)), threads)
-    return _aggregate("support-a", rows)
+def _gmdn_cases(max_n: int, max_m: int) -> list[tuple[str, int, int]]:
+    return [(str(blocks), m, d) for n in range(1, max_n + 1) for m in range(1, max_m + 1)
+            for d in range(1, m + 1) if m % d == 0 for blocks in block_shapes(n, m)]
 
 
-def suite_phi(max_n: int = 9, threads: int = 1) -> list[CheckResult]:
-    rows = _map_maybe_parallel(_check_phi, _shape_strings(range(1, max_n + 1)), threads)
-    return _aggregate("phi", rows)
-
-
-def suite_poset(max_n: int = 8, threads: int = 1) -> list[CheckResult]:
-    rows = _map_maybe_parallel(_check_poset, _shape_strings(range(1, max_n + 1)), threads)
-    out = _aggregate("poset", rows)
-    dot = build_poset(Partition((3, 2, 1)), "weak").to_dot()
-    nodes = dot.count("[maj=")
-    out.append(CheckResult("poset", "3,2,1 weak dot has 16 nodes", nodes == 16, f"nodes={nodes}"))
-    return out
-
-
-def suite_des(max_n: int = 12, majdes_n: int = 10, threads: int = 1) -> list[CheckResult]:
-    rows = _map_maybe_parallel(_check_des, _shape_strings(range(1, max_n + 1)), threads)
-    rows += _map_maybe_parallel(_check_majdes, _shape_strings(range(1, majdes_n + 1)), threads)
-    return _aggregate("des", rows)
-
-
-def suite_parity(max_n: int = 20, threads: int = 1) -> list[CheckResult]:
-    rows = _map_maybe_parallel(_check_parity, _shape_strings(range(1, max_n + 1)), threads)
-    return _aggregate("parity", rows)
+def _bipartitions(max_n: int) -> list[str]:
+    return [f"{lam}|{mu}" for n in range(1, max_n + 1) for k in range(n + 1)
+            for lam in partitions(k) for mu in partitions(n - k)]
 
 
 # frozen regression vectors (exact coefficient data for small named cases)
@@ -639,7 +612,7 @@ REGRESSION_CASES: dict[str, QPoly] = {
 }
 
 
-def suite_regression() -> list[CheckResult]:
+def _regression_checks() -> list[tuple[str, bool, str]]:
     rows: list[tuple[str, bool, str]] = []
 
     def add(name: str, got: QPoly, want: QPoly) -> None:
@@ -685,33 +658,10 @@ def suite_regression() -> list[CheckResult]:
         deformed_multinomial((2, 1, 1, 1), 2),
         REGRESSION_CASES["deformed 2,1,1,1 d=2"],
     )
-    return _aggregate("regression", rows, per_item=True)
-
-
-def _tally(suite: str, what: str, results: list[tuple[int, list]]) -> list[CheckResult]:
-    """The failing rows in work order, or one row with the number of checks."""
-    rows = [row for _, bad in results for row in bad]
-    checked = sum(n for n, _ in results)
-    if checked and not rows:
-        rows.append((f"{checked} {what} checks", True, ""))
-    return _aggregate(suite, rows, per_item=True)
-
-
-def suite_deformed(max_n: int = 8, max_m: int = 6, threads: int = 1) -> list[CheckResult]:
-    work = [alpha for n in range(1, max_n + 1) for m in range(1, max_m + 1)
-            for alpha in weak_compositions(n, m)]
-    return _tally("deformed", "deformed", _map_maybe_parallel(_check_composition, work, threads))
-
-
-def suite_gmdn(max_n: int = 6, max_m: int = 4, threads: int = 1) -> list[CheckResult]:
-    work: list[tuple[str, int, int]] = []
-    for n in range(1, max_n + 1):
-        for m in range(1, max_m + 1):
-            for d in (d for d in range(1, m + 1) if m % d == 0):
-                for blocks in block_shapes(n, m):
-                    work.append((str(blocks), m, d))
-    rows = _map_maybe_parallel(_check_gmdn_block, work, threads)
-    return _aggregate("gmdn", rows)
+    dot = build_poset(Partition((3, 2, 1)), "weak").to_dot()
+    nodes = dot.count("[maj=")
+    rows.append(("3,2,1 weak dot has 16 nodes", nodes == 16, f"nodes={nodes}"))
+    return rows
 
 
 def _hook_quotient_sq(p: Partition) -> QPoly:
@@ -742,72 +692,84 @@ def type_d_closed_form(lam: Partition, mu: Partition) -> QPoly:
     return divide_exact_int(poly, 2) if lam == mu else poly
 
 
-def suite_closed_forms(max_n: int = 6, threads: int = 1) -> list[CheckResult]:
-    work = [f"{lam}|{mu}" for n in range(1, max_n + 1) for k in range(n + 1)
-            for lam in partitions(k) for mu in partitions(n - k)]
-    results = _map_maybe_parallel(_check_bipartition, work, threads)
-    return _tally("closed-forms", "closed-form", results)
-
-
 PERF_SHAPE = Partition((19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1))
+PERF_BUDGET_S = 10.0
 
 
-def suite_performance(budget_s: float = 10.0) -> list[CheckResult]:
+def _performance_checks() -> list[tuple[str, bool, str]]:
     assert PERF_SHAPE.n == 200
     t0 = time.perf_counter()
     poly = expand(stanley(PERF_SHAPE))
     elapsed = time.perf_counter() - t0
-    count_ok = poly.eval_at_1() == syt_count(PERF_SHAPE)
     return [
-        CheckResult(
-            "performance",
-            f"expand 200-cell shape in {elapsed:.2f}s",
-            elapsed < budget_s,
-            f"budget {budget_s}s",
-        ),
-        CheckResult("performance", "q=1 matches hook-length count", count_ok),
+        (f"expand 200-cell shape in {elapsed:.2f}s", elapsed < PERF_BUDGET_S,
+         f"budget {PERF_BUDGET_S}s"),
+        ("q=1 matches hook-length count", poly.eval_at_1() == syt_count(PERF_SHAPE), ""),
     ]
 
 
-SUITES: dict[str, Callable[..., list[CheckResult]]] = {
-    "stanley": suite_stanley,
-    "support-a": suite_support_a,
-    "phi": suite_phi,
-    "poset": suite_poset,
-    "des": suite_des,
-    "regression": suite_regression,
-    "deformed": suite_deformed,
-    "gmdn": suite_gmdn,
-    "closed-forms": suite_closed_forms,
-    "performance": suite_performance,
-    "parity": suite_parity,
+@dataclass(frozen=True)
+class Suite:
+    """One row of `SUITES`.
+
+    A bounded row runs each (check, n) of `checks` on every case of
+    `cases(n)`, where n is a default size bound, capped by --max-n.  A row
+    without checks has fixed cases: `cases()` returns its (name, ok, detail)
+    rows.
+    """
+    cases: Callable[..., list]
+    checks: tuple[tuple[Callable, int], ...] = ()
+    unit: str = "checks"  # a passing bounded row reads "N {unit}"
+
+
+SUITES: dict[str, Suite] = {
+    "stanley": Suite(_shape_strings, ((_check_stanley, 12),)),
+    "support-a": Suite(_shape_strings, ((_check_support_a, 12),)),
+    "phi": Suite(_shape_strings, ((_check_phi, 9),)),
+    "poset": Suite(_shape_strings, ((_check_poset, 8),)),
+    "des": Suite(_shape_strings, ((_check_des, 12), (_check_majdes, 10))),
+    "regression": Suite(_regression_checks),
+    "deformed": Suite(partial(_compositions, max_m=6), ((_check_composition, 8),),
+                      "deformed checks"),
+    "gmdn": Suite(partial(_gmdn_cases, max_m=4), ((_check_gmdn_block, 6),)),
+    "closed-forms": Suite(_bipartitions, ((_check_bipartition, 6),), "closed-form checks"),
+    "performance": Suite(_performance_checks),
+    "parity": Suite(_shapes, ((check_parity_unimodal, 20),)),
 }
 
-# default size caps per suite, scaled down by --max-n when smaller
-_SUITE_N_ARG = {
-    "stanley": ("max_n", 12),
-    "support-a": ("max_n", 12),
-    "phi": ("max_n", 9),
-    "poset": ("max_n", 8),
-    "des": ("max_n", 12),
-    "deformed": ("max_n", 8),
-    "gmdn": ("max_n", 6),
-    "closed-forms": ("max_n", 6),
-    "parity": ("max_n", 20),
-}
+
+def _run_case(work: tuple[Callable, object]) -> tuple[int, list[tuple[str, bool, str]]]:
+    """(number of checks, failing rows) of one case.  A check returns that
+    pair, one (name, ok, detail) row, or a bool for a case named by str()."""
+    check, case = work
+    got = check(case)
+    if isinstance(got, bool):
+        got = str(case), got, ""
+    if isinstance(got[0], str):
+        got = 1, [] if got[1] else [got]
+    return got
+
+
+def _run_suite(name: str, max_n: int | None, threads: int) -> list[CheckResult]:
+    """Every row of a fixed suite; for a bounded one, its failing rows in
+    work order, or one row counting its checks, or `no cases ran`."""
+    suite = SUITES[name]
+    if not suite.checks:
+        return [CheckResult(name, *row) for row in suite.cases()]
+    work = [(check, case) for check, n in suite.checks
+            for case in suite.cases(n if max_n is None else min(max_n, n))]
+    results = _map_maybe_parallel(_run_case, work, threads)
+    bad = [CheckResult(name, *row) for _, rows in results for row in rows]
+    checked = sum(k for k, _ in results)
+    if bad:
+        return bad
+    if not checked:
+        return [CheckResult(name, "no cases ran", False)]
+    return [CheckResult(name, f"{checked} {suite.unit}", True)]
 
 
 def run_suites(
     names: Iterable[str], max_n: int | None = None, threads: int = 1
 ) -> tuple[list[CheckResult], bool]:
-    results: list[CheckResult] = []
-    for name in names:
-        fn = SUITES[name]
-        kwargs = {}
-        if name in _SUITE_N_ARG:
-            arg, default = _SUITE_N_ARG[name]
-            kwargs[arg] = default if max_n is None else min(max_n, default)
-        if name not in ("regression", "performance"):
-            kwargs["threads"] = threads
-        results.extend(fn(**kwargs))
+    results = [r for name in names for r in _run_suite(name, max_n, threads)]
     return results, all(r.ok for r in results)

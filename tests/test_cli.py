@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import re
 import subprocess
 import sys
 
@@ -101,13 +102,43 @@ def test_verify_small_bounds(capsys):
     capsys.readouterr()
 
 
+VERIFY_MAX_N_4 = """\
+ok   [stanley] 11 checks
+ok   [support-a] 11 checks
+ok   [phi] 11 checks
+ok   [poset] 11 checks
+ok   [des] 22 checks
+ok   [regression] stanley 4,2
+ok   [regression] stanley 4,2,1
+ok   [regression] 4,2 symmetric not unimodal
+ok   [regression] 4,2,1 symmetric unimodal
+ok   [regression] wreath 2|3,1
+ok   [regression] wreath |3,3
+ok   [regression] gmdn 2|3,1
+ok   [regression] gmdn |3,3
+ok   [regression] gmdn |3,3 differs from wreath |3,3
+ok   [regression] gmdn |3,3 == gmdn 3,3| == wreath 3,3|
+ok   [regression] multinomial (2,1,1,1) in q^4
+ok   [regression] undeformed multinomial not divisible by 1+q^10
+ok   [regression] rotation-sum quotient
+ok   [regression] deformed 2,1,1,1 d=2
+ok   [regression] 3,2,1 weak dot has 16 nodes  nodes=16
+ok   [deformed] 3682 deformed checks
+ok   [gmdn] 744 checks
+ok   [closed-forms] 74 closed-form checks
+ok   [performance] expand 200-cell shape in <t>s  budget 10.0s
+ok   [performance] q=1 matches hook-length count
+ok   [parity] 11 checks
+PASS (26 results)
+"""
+
+
 def test_verify_all_suites_wired(capsys):
-    # every suite runs through the CLI at tiny bounds
+    # every suite runs through the CLI at tiny bounds; des counts 11 shapes
+    # for the des interval and 11 for maj - des, both capped at n <= 4
     assert main(["verify", "--suite", "all", "--max-n", "4", "--threads", "1"]) == 0
-    out = capsys.readouterr().out
-    for tag in ("stanley", "support-a", "phi", "poset", "des", "regression",
-                "deformed", "gmdn", "closed-forms", "performance", "parity"):
-        assert f"[{tag}]" in out, tag
+    out = re.sub(r"in \d+\.\d\ds ", "in <t>s ", capsys.readouterr().out)
+    assert out == VERIFY_MAX_N_4
 
 
 def test_argument_errors_exit_2():
@@ -137,10 +168,27 @@ def test_fakedeg_empty_blocks(capsys):
 
 
 def test_verify_fails_on_zero_cases(capsys):
-    assert main(["verify", "--suite", "stanley", "--max-n", "0", "--threads", "1"]) == 1
-    assert main(["verify", "--suite", "deformed", "--max-n", "0", "--threads", "1"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out and "PASS" not in out
+    for suite in ("stanley", "support-a", "phi", "poset", "des", "deformed", "gmdn",
+                  "closed-forms", "parity"):
+        assert main(["verify", "--suite", suite, "--max-n", "0", "--threads", "1"]) == 1, suite
+        out = capsys.readouterr().out
+        assert out == f"FAIL [{suite}] no cases ran\nFAIL (1 results)\n"
+
+
+def test_every_bounded_suite_gets_threads(capsys, monkeypatch):
+    seen = []
+    fan_out = V._map_maybe_parallel
+
+    def spy(fn, items, threads):
+        seen.append(threads)
+        return fan_out(fn, items, 1)
+
+    monkeypatch.setattr(V, "_map_maybe_parallel", spy)
+    for name, suite in V.SUITES.items():
+        seen.clear()
+        assert main(["verify", "--suite", name, "--max-n", "3", "--threads", "3"]) == 0
+        assert seen == ([3] if suite.checks else []), name
+    capsys.readouterr()
 
 
 def test_output_determinism():
@@ -177,8 +225,7 @@ def test_parallel_failure_rows_keep_work_order(monkeypatch):
         pytest.skip("needs forked workers")
     monkeypatch.setattr(V, "deformed_multinomial_rational", lambda alpha, d: V.QPoly.zero())
     monkeypatch.setattr(V, "type_d_closed_form", lambda lam, mu: V.QPoly.zero())
-    for run in (lambda t: V.suite_deformed(max_n=3, max_m=3, threads=t),
-                lambda t: V.suite_closed_forms(max_n=4, threads=t)):
-        serial = run(1)
-        assert len(serial) > 10 and not any(r.ok for r in serial)
-        assert run(2) == serial
+    for name, max_n in (("deformed", 3), ("closed-forms", 4)):
+        serial, ok = V.run_suites([name], max_n=max_n, threads=1)
+        assert len(serial) > 10 and not ok and not any(r.ok for r in serial)
+        assert V.run_suites([name], max_n=max_n, threads=2) == (serial, ok)
