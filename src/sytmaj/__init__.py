@@ -42,7 +42,6 @@ from .tableaux import (
     Tableau,
     canonical_orbit_tableaux,
     count_tableaux,
-    descent_set,
     enumerate_tableaux,
     exceptional_set,
     from_rows,
@@ -105,7 +104,7 @@ __all__ = [
     "q_multinomial", "shape_predicates", "substitute_power",
     # tableaux
     "BoundExceeded", "DNotDividingM", "OrbitRep", "ShapeNotOneRowBlocks",
-    "Tableau", "canonical_orbit_tableaux", "count_tableaux", "descent_set",
+    "Tableau", "canonical_orbit_tableaux", "count_tableaux",
     "enumerate_tableaux", "exceptional_set", "from_rows", "maxmaj_tableau",
     "minmaj_tableau", "parse_tableau", "to_word", "word_descent_set",
     "word_inv",

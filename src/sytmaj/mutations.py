@@ -11,13 +11,16 @@ is built per cover.  The ground set is every standard filling minus, for a
 big rectangle, the two extremes, so a lookup that misses and is not one of
 those two is a filling the move left non-standard, and it raises.
 
+The negative-rotation conditions are the positive ones on the
+anti-transposed filling: rows and columns swapped and each value v read as
+n+1-v.  `_negative_rotations` is the positive scan run on that filling, so
+the rotation conditions live in one scan.
+
 On a self-conjugate shape transposition maps the ground set to itself and
-reverses maj, and the negative-rotation conditions are the positive ones
-with rows and columns swapped.  So there every transposed edge, and every
-negative-rotation edge, is a forward edge read back through the transpose,
-and only the positive rotations are scanned.  The candidate search for one
-tableau's strong covers, negative rotations included, is
-`verify.strong_covers`.
+reverses maj.  So there every transposed edge, and every negative-rotation
+edge, is a forward edge read back through the transpose, and only the
+positive rotations are scanned.  The candidate search for one tableau's
+strong covers, negative rotations included, is `verify.strong_covers`.
 """
 from __future__ import annotations
 
@@ -146,39 +149,14 @@ def _positive_rotations(rows: list[int], cols: list[int]) -> list[Move]:
 
 
 def _negative_rotations(rows: list[int], cols: list[int]) -> list[Move]:
-    n = len(rows) - 2
-    moves = []
-    for j in range(1, n):
-        # j, j+1 in a common horizontal strip
-        if not (cols[j + 1] > cols[j] and rows[j + 1] <= rows[j]):
-            continue
-        first = j
-        # first-1, first in a common vertical strip
-        while first >= 2 and rows[first] > rows[first - 1] and cols[first] <= cols[first - 1]:
-            first -= 1
-        # the left end i alone decides its condition: i+1 strictly south-west
-        # of i with i-1 outside their rectangle, or i = j with i-1 inside
-        lefts = [i for i in range(j, first - 1, -1) if (
-            rows[i + 1] > rows[i] and cols[i + 1] < cols[i]
-            and not _in_rect(rows, cols, i - 1, i, i + 1)
-            if i < j else _in_rect(rows, cols, i - 1, i, i + 1))]
-        rights = [j, j + 1]
-        k = j + 1
-        while k < n and rows[k + 1] > rows[k] and cols[k + 1] <= cols[k]:
-            k += 1
-            rights.append(k)
-        for i in lefts:
-            for k in rights:
-                if i >= k:
-                    continue
-                if j < k:  # i strictly south-west of k, k+1 outside their rectangle
-                    if not (rows[i] > rows[k] and cols[i] < cols[k]) \
-                            or _in_rect(rows, cols, k + 1, i, k):
-                        continue
-                elif not _in_rect(rows, cols, k + 1, i, k):
-                    continue
-                moves.append(_negative_move(i, k, j))
-    return moves
+    """The positive scan on the anti-transposed filling, where value v
+    becomes n+1-v and cell (r, c) becomes (-c, -r); the sentinel 0 stays 0.
+    Its forward cycle on [i, k] at descent j is the backward cycle on
+    [n+1-k, n+1-i] at descent n+1-j here."""
+    m = len(rows) - 1  # n + 1
+    mirrored = _positive_rotations([-c for c in reversed(cols)], [-r for r in reversed(rows)])
+    return [_negative_move(m - mv.interval[1], m - mv.interval[0], m - mv.descent)
+            for mv in mirrored]
 
 
 def positive_rotations(t: Tableau) -> list[Move]:
@@ -189,8 +167,9 @@ def positive_rotations(t: Tableau) -> list[Move]:
 
 
 def negative_rotations(t: Tableau) -> list[Move]:
-    """All intervals whose backward cycle raises maj by one; the mirror of
-    the positive conditions, with vertical strips on both sides."""
+    """All intervals whose backward cycle raises maj by one: the positive
+    conditions on the anti-transposed filling, so with vertical strips on
+    both sides."""
     return _negative_rotations(*_value_coordinates(t))
 
 
@@ -560,16 +539,18 @@ def phi(t: Tableau) -> Tableau:
 # posets
 
 
-def _ground(p: Partition) -> tuple[list[Tableau], list[int]]:
+def _ground(p: Partition) -> tuple[list[Tableau], list[int], tuple[Tableau, ...]]:
     """The ground set sorted by maj, then by row reading word (the rows
-    bottom to top, a fixed reordering of the values), and its majs."""
-    excl = {minmaj_tableau(p).values, maxmaj_tableau(p).values} if p.is_big_rectangle() else ()
+    bottom to top, a fixed reordering of the values), its majs, and the
+    extremes it leaves out."""
+    extremes = (minmaj_tableau(p), maxmaj_tableau(p)) if p.is_big_rectangle() else ()
+    excl = {e.values for e in extremes}
     starts = list(accumulate(p.parts, initial=0))
     order = [i for r in reversed(range(len(p))) for i in range(starts[r], starts[r + 1])]
     word = itemgetter(*order) if p.n > 1 else tuple  # itemgetter(i) returns no tuple
     keyed = sorted((t.maj(), word(t.values), t)
                    for t in enumerate_tableaux(p) if t.values not in excl)
-    return [t for _, _, t in keyed], [maj for maj, _, _ in keyed]
+    return [t for _, _, t in keyed], [maj for maj, _, _ in keyed], extremes
 
 
 def poset_ground(p: Partition) -> list[Tableau]:
@@ -643,10 +624,9 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
     way, so there the strong step is `_forward_moves` alone and every forward
     edge is mirrored; other shapes add the negative rotations at each node.
     """
-    ground, majs = _ground(p)
+    ground, majs, extremes = _ground(p)
     index = {t.values: i for i, t in enumerate(ground)}
-    outside = {e.values: e.maj() for e in (minmaj_tableau(p), maxmaj_tableau(p))} \
-        if p.is_big_rectangle() else {}
+    outside = {e.values: e.maj() for e in extremes}
     conj, mirror = p.transpose_map
     if flavor == "strong":
         fault, check_maj = ValueError, False

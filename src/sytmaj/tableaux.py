@@ -156,10 +156,6 @@ def parse_tableau(text: str) -> Tableau:
     return from_rows([[int(v) for v in row.split(",")] for row in text.split("/")])
 
 
-def descent_set(t: Tableau) -> frozenset[int]:
-    return t.descent_set()
-
-
 def enumerate_tableaux(shape: Shape, limit: int = 20) -> Iterator[Tableau]:
     """Stream every standard filling exactly once, in the deterministic
     order given by value-ascending backtracking with cells tried row-major."""
@@ -223,12 +219,6 @@ def _outer_vertical_strip(p: Partition) -> list[Cell]:
     return [(r, p.part(r)) for r in range(1, len(p) + 1)]
 
 
-def _outer_horizontal_strip(p: Partition) -> list[Cell]:
-    """Column-end cells, one per column: the outermost maximal horizontal strip."""
-    conj = p.conjugate()
-    return [(conj.part(c), c) for c in range(1, len(conj) + 1)]
-
-
 def maxmaj_tableau(p: Partition) -> Tableau:
     """Fill successive outermost maximal vertical strips with the largest
     remaining values, bottom to top within each strip; on the empty shape,
@@ -246,19 +236,9 @@ def maxmaj_tableau(p: Partition) -> Tableau:
 
 
 def minmaj_tableau(p: Partition) -> Tableau:
-    """Fill successive outermost maximal horizontal strips with the largest
-    remaining values, right to left within each strip; on the empty shape,
-    the empty filling."""
-    fill: dict[Cell, int] = {}
-    rows = list(p.parts)
-    v = p.n
-    while any(rows):
-        cur = Partition(rows)
-        for cell in sorted(_outer_horizontal_strip(cur), key=lambda rc: -rc[1]):
-            fill[cell] = v
-            v -= 1
-            rows[cell[0] - 1] -= 1
-    return Tableau(p, tuple(fill[c] for c in p.cells))
+    """The transpose of the conjugate's max-maj filling: transposition maps
+    maj to C(n,2) - maj, and both extreme fillings are unique."""
+    return maxmaj_tableau(p.conjugate()).transpose()
 
 
 def exceptional_set(p: Partition) -> frozenset[Tableau]:

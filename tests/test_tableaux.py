@@ -154,7 +154,7 @@ def test_minmaj_maxmaj_values_and_transpose():
 
 
 def test_extreme_tableaux_unique():
-    for n in range(1, 9):
+    for n in range(1, 11):
         for p in partitions(n):
             lo = [t for t in enumerate_tableaux(p) if t.maj() == b_statistic(p)]
             hi_val = comb(n, 2) - b_statistic(p.conjugate())
