@@ -1,13 +1,15 @@
 """Exact major-index combinatorics on standard Young tableaux.
 
-Generating functions via (q^d - 1) binomial forms, fake degrees for
-wreath products and all groups G(m,d,n), deformed Gaussian multinomials,
-maj-raising tableau mutations with their two ranked posets, and closed-form
-nonzero-coefficient classifiers backed by brute-force oracles.
+Generating functions via (q^d - 1) binomial forms, fake degrees for all
+groups G(m,d,n) (the wreath products are G(m,1,n)), deformed Gaussian
+multinomials, maj-raising tableau mutations with their two ranked posets,
+and closed-form nonzero-coefficient classifiers backed by brute-force
+oracles.
 """
 
 from .shapes import (
     BlockShape,
+    DNotDividingM,
     Partition,
     SkewShape,
     b_composition,
@@ -36,8 +38,6 @@ from .qpolys import (
 )
 from .tableaux import (
     BoundExceeded,
-    DNotDividingM,
-    OrbitRep,
     ShapeNotOneRowBlocks,
     Tableau,
     canonical_orbit_tableaux,
@@ -89,25 +89,23 @@ from .zeros import (
     support_des,
     support_gmdn,
     support_type_A,
-    support_wreath,
     verify_support,
 )
 
 __all__ = [
     # shapes
-    "BlockShape", "Partition", "SkewShape", "b_composition", "b_statistic",
-    "block_coordinates", "corners_and_notches", "hook_lengths",
+    "BlockShape", "DNotDividingM", "Partition", "SkewShape", "b_composition",
+    "b_statistic", "block_coordinates", "corners_and_notches", "hook_lengths",
     "hook_multiset", "parse_blocks", "parse_partition", "partitions",
     # qpolys
     "BinomialForm", "NonzeroRemainder", "QPoly", "divide_exact",
     "divide_exact_int", "expand", "q_binomial", "q_factorial", "q_int",
     "q_multinomial", "shape_predicates", "substitute_power",
     # tableaux
-    "BoundExceeded", "DNotDividingM", "OrbitRep", "ShapeNotOneRowBlocks",
-    "Tableau", "canonical_orbit_tableaux", "count_tableaux",
-    "enumerate_tableaux", "exceptional_set", "from_rows", "maxmaj_tableau",
-    "minmaj_tableau", "parse_tableau", "to_word", "word_descent_set",
-    "word_inv",
+    "BoundExceeded", "ShapeNotOneRowBlocks", "Tableau",
+    "canonical_orbit_tableaux", "count_tableaux", "enumerate_tableaux",
+    "exceptional_set", "from_rows", "maxmaj_tableau", "minmaj_tableau",
+    "parse_tableau", "to_word", "word_descent_set", "word_inv",
     # genfun
     "block_maj_gf", "coefficient_via_H", "generalized_binomial",
     "gmdn_fake_degree", "mahonian_count", "stanley", "syt_count",
@@ -121,6 +119,5 @@ __all__ = [
     "positive_rotations", "poset_ground", "verify_ranked",
     # zeros
     "SupportPrediction", "SupportReport", "check_parity_unimodal",
-    "support_des", "support_gmdn", "support_type_A", "support_wreath",
-    "verify_support",
+    "support_des", "support_gmdn", "support_type_A", "verify_support",
 ]

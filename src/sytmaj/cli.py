@@ -7,18 +7,13 @@ import os
 import sys
 
 from . import verify as verify_mod
-from .genfun import gmdn_fake_degree, stanley, wreath_fake_degree
+from .genfun import gmdn_fake_degree, stanley
 from .mutations import build_poset
 from .qpolys import QPoly, expand
 from .deformed import deformed_multinomial
 from .shapes import parse_blocks, parse_partition
 from .tableaux import enumerate_tableaux
-from .zeros import (
-    support_gmdn,
-    support_type_A,
-    support_wreath,
-    verify_support,
-)
+from .zeros import support_gmdn, support_type_A, verify_support
 
 
 def _json_out(obj) -> str:
@@ -38,44 +33,41 @@ def _shape_args(parser: argparse.ArgumentParser, need_md: bool = True) -> None:
         parser.add_argument("--d", type=int, default=1, help="rotation order dividing m")
 
 
-def _resolve_md(parser: argparse.ArgumentParser, args) -> tuple:
+def _resolve_md(parser: argparse.ArgumentParser, args) -> tuple | None:
+    """(blocks, m, d) for --blocks; None for --shape, which takes no --m and
+    no --d other than 1."""
+    if args.shape is not None:
+        if args.m is not None or args.d != 1:
+            parser.error("--m and --d apply to --blocks only")
+        return None
     blocks = parse_blocks(args.blocks)
     m = args.m if args.m is not None else blocks.m
     if m != blocks.m:
         parser.error(f"--m {m} does not match {blocks.m} blocks")
-    if args.d <= 0 or m % args.d:
-        parser.error(f"--d {args.d} must divide m={m}")
     return blocks, m, args.d
 
 
 def cmd_fakedeg(parser, args) -> int:
-    if args.shape is not None:
+    md = _resolve_md(parser, args)
+    if md is None:
         poly = expand(stanley(parse_partition(args.shape)))
     else:
-        blocks, m, d = _resolve_md(parser, args)
-        poly = wreath_fake_degree(blocks, m) if d == 1 else gmdn_fake_degree(blocks, m, d)
+        poly = gmdn_fake_degree(*md)
     _emit_poly(poly, args.format)
     return 0
 
 
 def cmd_support(parser, args) -> int:
-    if args.shape is not None:
+    md = _resolve_md(parser, args)
+    if md is None:
         p = parse_partition(args.shape)
         pred = support_type_A(p)
         actual = verify_mod.maj_gf_oracle(p) if args.verify else None
         shape_str = args.shape
     else:
-        blocks, m, d = _resolve_md(parser, args)
-        pred = support_wreath(blocks, m) if d == 1 else support_gmdn(blocks, m, d)
-        shape_str = str(blocks)
-        if args.verify:
-            actual = (
-                verify_mod.wreath_gf_oracle(blocks, m)
-                if d == 1
-                else verify_mod.gmdn_gf_oracle(blocks, m, d)
-            )
-        else:
-            actual = None
+        pred = support_gmdn(*md)
+        actual = verify_mod.gmdn_gf_oracle(*md) if args.verify else None
+        shape_str = str(md[0])
     if actual is None:
         print(_json_out({"degrees": sorted(pred.degrees)}))
         return 0
@@ -111,8 +103,6 @@ def cmd_deformed(parser, args) -> int:
     alpha = tuple(int(x) for x in args.alpha.split(","))
     if any(a < 0 for a in alpha):
         parser.error("alpha entries must be nonnegative")
-    if args.d <= 0 or len(alpha) % args.d:
-        parser.error(f"--d {args.d} must divide the number of parts {len(alpha)}")
     _emit_poly(deformed_multinomial(alpha, args.d), args.format)
     return 0
 

@@ -17,14 +17,13 @@ from collections import Counter
 from operator import add
 
 from .qpolys import BinomialForm, QPoly, expand, multinomial_exponents
-from .shapes import b_composition
-from .tableaux import DNotDividingM
+from .shapes import DNotDividingM, b_composition
 
 
 def rotate_right(alpha: tuple[int, ...], steps: int = 1) -> tuple[int, ...]:
     """(alpha_m, alpha_1, ..., alpha_{m-1}) iterated `steps` times."""
     m = len(alpha)
-    s = steps % m
+    s = steps % m if m else 0
     return alpha[-s:] + alpha[:-s] if s else alpha
 
 
@@ -65,18 +64,19 @@ def _rotation_sum(alpha: tuple[int, ...], d: int, shift: int = 0, hooks=()) -> Q
     [n; alpha] [A(beta)]/[n] times the map `hooks`, all at q**m, where A(beta)
     is the sum of the first m/d entries of beta; 1 when n = 0."""
     m = len(alpha)
-    if d <= 0 or m % d:
-        raise DNotDividingM(f"d={d} does not divide m={m}")
+    rotations = rotation_class(alpha, d)
     if not any(alpha):
         return QPoly.one()
     terms = []
-    for beta in rotation_class(alpha, d):
+    for beta in rotations:
         a = sum(beta[: m // d])
         if a:
             exps = _prefix_form(beta, a)
             exps.update(hooks)
             lift = b_composition(beta) + m * shift
             terms.append(expand(BinomialForm(lift, {m * k: e for k, e in exps.items()})))
+    if len(terms) == 1:
+        return terms[0]
     lo = min(term.offset for term in terms)
     out = [0] * (max(term.degree for term in terms) + 1 - lo)
     for term in terms:

@@ -2,8 +2,9 @@
 
 Covers the q-hook-length product for a single shape, the multinomial product
 for block shapes, coefficient formulas in the hook-multiplicity parameters,
-Mahonian counts, and the fake degrees for the wreath products C_m wr S_n and
-the groups G(m,d,n).
+Mahonian counts, and the fake degrees for the groups G(m,d,n).  The wreath
+product C_m wr S_n is G(m,1,n), and its fake degree is computed by the same
+code.
 """
 from __future__ import annotations
 
@@ -59,17 +60,12 @@ def _hook_form(blocks: BlockShape) -> BinomialForm:
     return BinomialForm(shift, exps)
 
 
-def _block_form(blocks: BlockShape) -> BinomialForm:
-    """The binomial form of block_maj_gf."""
-    shift, exps = _hook_form(blocks)
-    exps.update(multinomial_exponents(blocks.n, blocks.alpha()))
-    return BinomialForm(shift, exps)
-
-
 def block_maj_gf(blocks: BlockShape) -> QPoly:
     """Major-index generating function of a block diagonal shape: the
     q-multinomial times the product of the single-shape polynomials."""
-    return expand(_block_form(blocks))
+    shift, exps = _hook_form(blocks)
+    exps.update(multinomial_exponents(blocks.n, blocks.alpha()))
+    return expand(BinomialForm(shift, exps))
 
 
 def generalized_binomial(a: int, k: int) -> int:
@@ -139,13 +135,9 @@ def mahonian_count(n: int, d: int) -> int:
 
 
 def wreath_fake_degree(blocks: BlockShape, m: int) -> QPoly:
-    """Fake degree polynomial for C_m wr S_n: q**b(alpha) times the block
-    generating function evaluated at q**m."""
-    if blocks.m != m:
-        raise ValueError(f"block count {blocks.m} != m={m}")
-    shift, exps = _block_form(blocks)
-    # q -> q**m takes (q^d - 1) to (q^(dm) - 1)
-    return expand(BinomialForm(blocks.b_alpha() + m * shift, {m * k: e for k, e in exps.items()}))
+    """Fake degree polynomial for C_m wr S_n = G(m,1,n): q**b(alpha) times
+    the block generating function evaluated at q**m."""
+    return gmdn_fake_degree(blocks, m, 1)
 
 
 def gmdn_fake_degree(blocks: BlockShape, m: int, d: int) -> QPoly:

@@ -13,6 +13,10 @@ from typing import Iterator
 Cell = tuple[int, int]
 
 
+class DNotDividingM(ValueError):
+    """The rotation order d must divide the number of blocks m."""
+
+
 class _Cells:
     """Cell lookups shared by the shape types, cached on the shape itself."""
 
@@ -224,13 +228,13 @@ class BlockShape(_Cells):
 
     def rotate(self, steps: int) -> "BlockShape":
         """Right-rotate the block sequence by `steps` positions."""
-        s = steps % len(self.blocks)
+        s = steps % self.m if self.blocks else 0
         return BlockShape(self.blocks[-s:] + self.blocks[:-s]) if s else self
 
     def orbit(self, d: int) -> tuple["BlockShape", ...]:
         """Distinct shapes under the d rotations by multiples of m/d."""
         if d <= 0 or self.m % d:
-            raise ValueError(f"d={d} must divide m={self.m}")
+            raise DNotDividingM(f"d={d} does not divide m={self.m}")
         step = self.m // d
         seen, out = set(), []
         for j in range(d):
@@ -249,9 +253,6 @@ class BlockShape(_Cells):
     def b_blocks(self) -> int:
         """Sum of b(lambda^(i)) over the blocks."""
         return sum(b_statistic(b) for b in self.blocks)
-
-    def b_blocks_conjugate(self) -> int:
-        return sum(b_statistic(b.conjugate()) for b in self.blocks)
 
     def as_skew(self) -> SkewShape:
         rows: dict[int, tuple[int, int]] = {}

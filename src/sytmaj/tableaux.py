@@ -261,44 +261,6 @@ def exceptional_set(p: Partition) -> frozenset[Tableau]:
 # canonical orbit representatives
 
 
-class DNotDividingM(ValueError):
-    """The rotation order d must divide the number of blocks m."""
-
-
-class OrbitRep:
-    """The rotation orbit of a block shape, with canonical-member tests.
-
-    Rotating a filled sequence by m/d moves the block holding the largest
-    entry by m/d positions, so a tableau is the canonical representative of
-    its orbit exactly when that block index is at most m/d.
-    """
-
-    __slots__ = ("blocks", "d", "m", "orbit")
-
-    def __init__(self, blocks: BlockShape, d: int):
-        if d <= 0 or blocks.m % d:
-            raise DNotDividingM(f"d={d} does not divide m={blocks.m}")
-        self.blocks = blocks
-        self.d = d
-        self.m = blocks.m
-        self.orbit = blocks.orbit(d)
-        assert d % len(self.orbit) == 0
-
-    def size(self) -> int:
-        return len(self.orbit)
-
-    def is_canonical(self, t: Tableau) -> bool:
-        shape = t.shape
-        if not isinstance(shape, BlockShape) or shape.blocks not in {
-            s.blocks for s in self.orbit
-        }:
-            raise ValueError("tableau shape is not in this orbit")
-        return t.n == 0 or shape.block_of_cell(t.pos(t.n)) <= self.m // self.d
-
-    def canonical_count(self, limit: int = 20) -> int:
-        return sum(1 for _ in canonical_orbit_tableaux(self.blocks, self.d, limit))
-
-
 def canonical_orbit_tableaux(
     blocks: BlockShape, d: int, limit: int = 20
 ) -> Iterator[tuple[Tableau, int]]:
@@ -309,11 +271,9 @@ def canonical_orbit_tableaux(
     minimal within its rotation orbit; rotating by m/d shifts that index by
     m/d mod m, so the canonical ones are exactly those with index <= m/d.
     """
-    m = blocks.m
-    if d <= 0 or m % d:
-        raise DNotDividingM(f"d={d} does not divide m={m}")
-    step = m // d
-    for mu in blocks.orbit(d):
+    orbit = blocks.orbit(d)
+    step = blocks.m // d
+    for mu in orbit:
         ba = b_composition(mu.alpha())
         for t in enumerate_tableaux(mu, limit):
             if t.n == 0 or mu.block_of_cell(t.pos(t.n)) <= step:

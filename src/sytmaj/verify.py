@@ -68,6 +68,7 @@ from .qpolys import (
 )
 from .shapes import (
     BlockShape,
+    DNotDividingM,
     Partition,
     b_composition,
     b_statistic,
@@ -78,7 +79,6 @@ from .shapes import (
 )
 from .tableaux import (
     BoundExceeded,
-    DNotDividingM,
     Tableau,
     enumerate_tableaux,
     exceptional_set,
@@ -203,19 +203,14 @@ def majdes_values_oracle(shape) -> set[int]:
     return {maj - des for maj, des in _fillings(shape)}
 
 
-def wreath_gf_oracle(blocks: BlockShape, m: int) -> QPoly:
-    return QPoly.from_terms(_maj_terms(_fillings(blocks), blocks.b_alpha(), m))
-
-
 def gmdn_gf_oracle(blocks: BlockShape, m: int, d: int) -> QPoly:
     """Sum of q^(b(alpha) + m*maj) over the canonical tableaux of the rotation
     orbit: those with n in one of the first m/d blocks (see
-    `canonical_orbit_tableaux`)."""
-    if d <= 0 or blocks.m % d:
-        raise DNotDividingM(f"d={d} does not divide m={blocks.m}")
+    `canonical_orbit_tableaux`); at d = 1, every tableau of the shape."""
+    orbit = blocks.orbit(d)
     step = blocks.m // d
     counts: Counter = Counter()
-    for mu in blocks.orbit(d):
+    for mu in orbit:
         # blocks run top to bottom, so the first m/d hold the first cells
         top = set(range(sum(mu.alpha()[:step])))
         counts.update(_maj_terms(_fillings(mu, top), mu.b_alpha(), m))

@@ -1,7 +1,9 @@
 """Closed-form nonzero-coefficient classifiers, paired with verification.
 
 Each classifier materializes an explicit finite set of degrees so that
-checking against an actual polynomial is a plain set comparison.
+checking against an actual polynomial is a plain set comparison.  The
+wreath product C_m wr S_n is G(m,1,n), so one classifier, `support_gmdn`,
+covers it and every G(m,d,n).
 """
 from __future__ import annotations
 
@@ -18,14 +20,13 @@ from .shapes import (
     b_statistic,
     hook_lengths,
 )
-from .tableaux import DNotDividingM
 
 
 @dataclass(frozen=True)
 class SupportPrediction:
     """Predicted nonzero degrees for one polynomial family."""
 
-    family: str  # "A" | "wreath" | "gmdn" | "des"
+    family: str  # "A" | "wreath" (G(m,1,n)) | "gmdn" | "des"
     degrees: frozenset[int]
     excluded: frozenset[int] = frozenset()
     interval_verified: bool = True  # False for skew des predictions
@@ -66,44 +67,20 @@ def support_des(shape: Partition | SkewShape) -> SupportPrediction:
     )
 
 
-def _wreath_degrees(blocks: BlockShape, m: int) -> frozenset[int]:
-    n = blocks.n
-    base = blocks.b_alpha()
-    bl = blocks.b_blocks()
-    width = comb(n + 1, 2) - blocks.hook_sum()
-    nonempty = [b for b in blocks.blocks if b]
-    excluded: set[int] = set()
-    if len(nonempty) == 1 and nonempty[0].is_big_rectangle():
-        excluded = {1, width - 1}
-    return frozenset(
-        base + m * (bl + t) for t in range(width + 1) if t not in excluded
-    )
-
-
-def support_wreath(blocks: BlockShape, m: int) -> SupportPrediction:
-    """Nonzero fake-degree locations for C_m wr S_n."""
-    if blocks.m != m:
-        raise ValueError(f"block count {blocks.m} != m={m}")
-    if blocks.n < 1:
-        raise ValueError("need at least one cell")
-    degrees = _wreath_degrees(blocks, m)
-    return SupportPrediction("wreath", degrees)
-
-
 def support_gmdn(blocks: BlockShape, m: int, d: int) -> SupportPrediction:
     """Nonzero fake-degree locations for G(m,d,n): the union over orbit
     members with positive mass in the first m/d blocks of a shifted interval,
-    minus the rectangle exceptions."""
+    minus the rectangle exceptions.  At d = 1, C_m wr S_n, the prediction is
+    labelled "wreath"."""
     if blocks.m != m:
         raise ValueError(f"block count {blocks.m} != m={m}")
-    if d <= 0 or m % d:
-        raise DNotDividingM(f"d={d} does not divide m={m}")
+    orbit = blocks.orbit(d)
     n = blocks.n
     if n < 1:
         raise ValueError("need at least one cell")
     step = m // d
     degrees: set[int] = set()
-    for mu in blocks.orbit(d):
+    for mu in orbit:
         head = sum(mu.alpha()[:step])
         if head == 0:
             continue
@@ -114,7 +91,7 @@ def support_gmdn(blocks: BlockShape, m: int, d: int) -> SupportPrediction:
         degrees.update(
             base + m * (bl + t) for t in range(width + 1) if t not in excluded
         )
-    return SupportPrediction("gmdn", frozenset(degrees))
+    return SupportPrediction("wreath" if d == 1 else "gmdn", frozenset(degrees))
 
 
 def _gmdn_excluded(mu: BlockShape, step: int, n: int) -> frozenset[int]:

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import multiprocessing
 import re
@@ -21,6 +24,8 @@ def test_fakedeg_shape(capsys):
     assert main(["fakedeg", "--shape", "4,2"]) == 0
     out = capsys.readouterr().out.strip()
     assert json.loads(out) == {"offset": 2, "coeffs": ["1", "1", "2", "1", "2", "1", "1"]}
+    assert main(["fakedeg", "--shape", "4,2", "--d", "1"]) == 0  # --d 1 is the default
+    assert capsys.readouterr().out.strip() == out
 
 
 def test_fakedeg_blocks(capsys):
@@ -31,6 +36,37 @@ def test_fakedeg_blocks(capsys):
     gmdn = json.loads(capsys.readouterr().out)
     assert gmdn["offset"] == 4
     assert wreath != gmdn
+
+
+def _run_in_process(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def test_block_shape_output_golden():
+    # sha256 of (argv, exit code, stdout) of fakedeg (json and text), support
+    # and support --verify on every block shape with n <= 5 and m <= 3, for
+    # every d dividing m: 2,220 invocations, pinned when C_m wr S_n still had
+    # its own fake degree, classifier and oracle
+    digest = hashlib.sha256()
+    count = 0
+    for m in range(1, 4):
+        for n in range(6):
+            for blocks in V.block_shapes(n, m):
+                for d in (d for d in range(1, m + 1) if m % d == 0):
+                    args = ["--blocks", str(blocks), "--m", str(m), "--d", str(d)]
+                    for argv in (["fakedeg", *args], ["fakedeg", *args, "--format", "text"],
+                                 ["support", *args], ["support", *args, "--verify"]):
+                        digest.update(repr((argv, *_run_in_process(argv))).encode())
+                        count += 1
+    assert count == 2220
+    assert digest.hexdigest() == \
+        "4ce505b200c494640598f4576b837450f94ac71117ebd7d387e9e05317b00dfb"
 
 
 def test_fakedeg_text_format(capsys):
@@ -154,6 +190,13 @@ def test_argument_errors_exit_2():
         ["enumerate", "--shape", "21"],
         ["poset", "--shape", "7,7,7"],
         ["support", "--blocks", "|", "--d", "2"],
+        ["support", "--blocks", "|", "--d", "3", "--verify"],
+        ["deformed", "--alpha", "2,1,1", "--d", "0"],
+        # --m and --d apply to --blocks only
+        ["fakedeg", "--shape", "3,2", "--m", "2", "--d", "3"],
+        ["fakedeg", "--shape", "3,2", "--d", "2"],
+        ["support", "--shape", "2,2", "--m", "3"],
+        ["support", "--shape", "2,2", "--m", "1", "--verify"],
         ["verify", "--suite", "regression", "--threads", "-3"],
         ["verify", "--suite", "regression", "--threads", "0"],
         ["verify", "--suite", "regression", "--max-n", "-3"],

@@ -21,8 +21,7 @@ from sytmaj.qpolys import (
     shape_predicates,
     substitute_power,
 )
-from sytmaj.shapes import BlockShape, Partition, b_composition, parse_blocks
-from sytmaj.tableaux import DNotDividingM
+from sytmaj.shapes import BlockShape, DNotDividingM, Partition, b_composition, parse_blocks
 from sytmaj.verify import (
     block_shapes,
     deformed_multinomial_by_deletion,
@@ -108,6 +107,10 @@ def test_rotations():
     assert rotation_class((2, 1, 1, 1), 2) == [(2, 1, 1, 1), (1, 1, 2, 1)]
     with pytest.raises(DNotDividingM):
         rotation_class((1, 2, 3), 2)
+    # the empty sequence has one rotation: itself
+    for k in (-1, 0, 1, 5):
+        assert rotate_right((), k) == ()
+    assert rotation_class((), 1) == [()]
 
 
 def test_partial_sum_multinomial_examples():

@@ -1,5 +1,7 @@
 """The package's public names."""
+import ast
 import types
+from pathlib import Path
 
 import sytmaj
 
@@ -14,3 +16,27 @@ def test_all_is_explicit_and_resolves():
     star: dict = {}
     exec("from sytmaj import *", star)
     assert set(star) - {"__builtins__"} == set(names)
+
+
+# public names that no module of the package loads; tests, scripts or the
+# benchmark call them.  A new public name needs a caller in the package or
+# a place in this list.
+UNCALLED_PUBLIC_NAMES = {
+    "block_maj_gf", "canonical_orbit_tableaux", "coefficient_via_H",
+    "corners_and_notches", "count_tableaux", "hook_multiset", "mahonian_count",
+    "parse_tableau", "poset_ground", "support_des", "to_word",
+    "word_descent_set", "word_inv",
+}
+
+
+def test_public_names_have_callers():
+    loaded = set()
+    for path in Path(sytmaj.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    assert set(sytmaj.__all__) - loaded == UNCALLED_PUBLIC_NAMES

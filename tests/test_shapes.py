@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from sytmaj.shapes import (
     BlockShape,
+    DNotDividingM,
     Partition,
     SkewShape,
     b_composition,
@@ -169,8 +170,38 @@ def test_rotation_and_orbit():
     orb = parse_blocks("1|2|3,2|1|2|3,2").orbit(2)
     assert len(orb) == 1
     assert len(parse_blocks("2|3,1").orbit(2)) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(DNotDividingM):
         parse_blocks("1|2|3").orbit(2)
+    # the empty sequence has one rotation: itself
+    empty = BlockShape(())
+    for k in (-1, 0, 1, 5):
+        assert empty.rotate(k) == empty
+    assert empty.orbit(1) == (empty,)
+
+
+def test_d_not_dividing_m_is_raised_by_every_rotation_user():
+    # the check lives in rotation_class and BlockShape.orbit; every caller
+    # must reach one of them before doing anything else, n = 0 included
+    from sytmaj.deformed import deformed_multinomial, rotation_class
+    from sytmaj.genfun import gmdn_fake_degree
+    from sytmaj.tableaux import canonical_orbit_tableaux
+    from sytmaj.verify import gmdn_gf_oracle
+    from sytmaj.zeros import support_gmdn
+
+    calls = (
+        lambda bs, d: gmdn_fake_degree(bs, bs.m, d),
+        lambda bs, d: support_gmdn(bs, bs.m, d),
+        lambda bs, d: deformed_multinomial(bs.alpha(), d),
+        lambda bs, d: rotation_class(bs.alpha(), d),
+        lambda bs, d: bs.orbit(d),
+        lambda bs, d: list(canonical_orbit_tableaux(bs, d)),
+        lambda bs, d: gmdn_gf_oracle(bs, bs.m, d),
+    )
+    for text, d in (("2|3,1", 3), ("||", 2), ("2|3,1", 0), ("||", 0), ("||", -3)):
+        bs = parse_blocks(text)
+        for call in calls:
+            with pytest.raises(DNotDividingM):
+                call(bs, d)
 
 
 def test_skew_shape_stats():

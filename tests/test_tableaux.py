@@ -4,10 +4,9 @@ import pytest
 
 from sytmaj.genfun import stanley
 from sytmaj.qpolys import expand, q_multinomial
-from sytmaj.shapes import BlockShape, Partition, b_statistic, parse_blocks, partitions
+from sytmaj.shapes import BlockShape, DNotDividingM, Partition, b_statistic, parse_blocks, partitions
 from sytmaj.tableaux import (
     BoundExceeded,
-    DNotDividingM,
     ShapeNotOneRowBlocks,
     Tableau,
     canonical_orbit_tableaux,
@@ -190,19 +189,8 @@ def test_canonical_orbit_tableaux():
     assert len(list(canonical_orbit_tableaux(twin, 2))) == full // 2
     with pytest.raises(DNotDividingM):
         list(canonical_orbit_tableaux(bs, 3))
-
-
-def test_orbit_rep():
-    from sytmaj.tableaux import OrbitRep
-
-    bs = parse_blocks("2|3,1")
-    rep = OrbitRep(bs, 2)
-    assert rep.size() == 2 and rep.d % rep.size() == 0
-    assert rep.canonical_count() == 45
-    for t, _ in canonical_orbit_tableaux(bs, 2):
-        assert rep.is_canonical(t)
-    with pytest.raises(DNotDividingM):
-        OrbitRep(bs, 3)
+    # no blocks: the empty filling of the one rotation of the empty sequence
+    assert [(t.n, ba) for t, ba in canonical_orbit_tableaux(BlockShape(()), 1)] == [(0, 0)]
 
 
 def test_canonical_orbit_with_empty_blocks():

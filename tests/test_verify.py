@@ -7,13 +7,15 @@ import pytest
 from sytmaj.cli import main
 from sytmaj.genfun import gmdn_fake_degree, stanley
 from sytmaj.qpolys import QPoly, expand
-from sytmaj.shapes import BlockShape, Partition, SkewShape, parse_blocks, partitions
-from sytmaj.tableaux import (
-    BoundExceeded,
+from sytmaj.shapes import (
+    BlockShape,
     DNotDividingM,
-    canonical_orbit_tableaux,
-    enumerate_tableaux,
+    Partition,
+    SkewShape,
+    parse_blocks,
+    partitions,
 )
+from sytmaj.tableaux import BoundExceeded, canonical_orbit_tableaux, enumerate_tableaux
 from sytmaj.verify import (
     _fillings,
     block_shapes,
@@ -21,7 +23,6 @@ from sytmaj.verify import (
     gmdn_gf_oracle,
     maj_gf_oracle,
     majdes_values_oracle,
-    wreath_gf_oracle,
 )
 
 SKEW_SHAPES = (
@@ -140,8 +141,11 @@ def test_oracles_on_empty_shape():
     assert maj_gf_oracle(empty) == des_gf_oracle(empty) == QPoly.one()
     assert majdes_values_oracle(empty) == {0}
     for blocks in (parse_blocks("|"), parse_blocks("||||")):
-        assert wreath_gf_oracle(blocks, blocks.m) == QPoly.one()
+        assert gmdn_gf_oracle(blocks, blocks.m, 1) == QPoly.one()
         assert gmdn_gf_oracle(blocks, blocks.m, blocks.m) == QPoly.one()
+    # no blocks at all: G(0,1,0), one rotation of the empty sequence
+    assert gmdn_gf_oracle(BlockShape(()), 0, 1) == gmdn_fake_degree(BlockShape(()), 0, 1) \
+        == QPoly.one()
 
 
 def test_oracle_errors():
@@ -151,7 +155,7 @@ def test_oracle_errors():
         with pytest.raises(BoundExceeded):
             oracle(big)
     with pytest.raises(BoundExceeded):
-        wreath_gf_oracle(blocks, 2)
+        gmdn_gf_oracle(blocks, 2, 1)
     with pytest.raises(BoundExceeded):
         gmdn_gf_oracle(blocks, 2, 2)
     with pytest.raises(DNotDividingM):

@@ -7,19 +7,18 @@ from sytmaj.genfun import gmdn_fake_degree, stanley, wreath_fake_degree
 from sytmaj.qpolys import QPoly, expand, shape_predicates
 from sytmaj.shapes import (
     BlockShape,
+    DNotDividingM,
     Partition,
     SkewShape,
     parse_blocks,
     partitions,
 )
-from sytmaj.tableaux import DNotDividingM
-from sytmaj.verify import block_shapes, maj_gf_oracle
+from sytmaj.verify import block_shapes, gmdn_gf_oracle, maj_gf_oracle
 from sytmaj.zeros import (
     check_parity_unimodal,
     support_des,
     support_gmdn,
     support_type_A,
-    support_wreath,
     verify_support,
 )
 
@@ -50,18 +49,20 @@ def test_support_des_examples():
 
 
 def test_support_wreath_examples():
-    assert support_wreath(parse_blocks("2|3,1"), 2).degrees == frozenset(range(6, 27, 2))
-    assert support_wreath(parse_blocks("|3,3"), 2).degrees == frozenset({12, 16, 18, 20, 24})
+    # C_m wr S_n is G(m,1,n)
+    pred = support_gmdn(parse_blocks("2|3,1"), 2, 1)
+    assert pred.family == "wreath" and pred.degrees == frozenset(range(6, 27, 2))
+    assert support_gmdn(parse_blocks("|3,3"), 2, 1).degrees == frozenset({12, 16, 18, 20, 24})
     for n in range(1, 7):
         for p in partitions(n):
-            assert support_wreath(BlockShape((p,)), 1).degrees == support_type_A(p).degrees
+            assert support_gmdn(BlockShape((p,)), 1, 1).degrees == support_type_A(p).degrees
 
 
 def test_support_gmdn_examples():
     assert support_gmdn(parse_blocks("2|3,1"), 2, 2).degrees == frozenset(range(4, 21, 2))
     assert support_gmdn(parse_blocks("|3,3"), 2, 2).degrees == frozenset({6, 10, 12, 14, 18})
     bs = parse_blocks("2|3,1")
-    assert support_gmdn(bs, 2, 1).degrees == support_wreath(bs, 2).degrees
+    assert support_gmdn(bs, 2, 1).degrees == frozenset(gmdn_gf_oracle(bs, 2, 1).support())
     with pytest.raises(DNotDividingM):
         support_gmdn(bs, 2, 3)
 
@@ -71,7 +72,7 @@ def test_support_wreath_matches_polynomials():
         for m in (1, 2, 3):
             for bs in block_shapes(n, m):
                 rep = verify_support(
-                    support_wreath(bs, m), wreath_fake_degree(bs, m), str(bs)
+                    support_gmdn(bs, m, 1), wreath_fake_degree(bs, m), str(bs)
                 )
                 assert rep.equal, rep.to_json_str()
 
@@ -134,7 +135,7 @@ def test_type_bd_supports_on_bipartitions():
                 for mu in partitions(n - k):
                     bs = BlockShape((lam, mu))
                     repb = verify_support(
-                        support_wreath(bs, 2), wreath_fake_degree(bs, 2), str(bs)
+                        support_gmdn(bs, 2, 1), wreath_fake_degree(bs, 2), str(bs)
                     )
                     repd = verify_support(
                         support_gmdn(bs, 2, 2), gmdn_fake_degree(bs, 2, 2), str(bs)
