@@ -167,10 +167,11 @@ def main(argv=None) -> int:
         "deformed": cmd_deformed,
         "verify": cmd_verify,
     }
+    subparser = sub.choices[args.command]
     try:
-        return handlers[args.command](parser, args)
+        return handlers[args.command](subparser, args)
     except ValueError as exc:  # bad input, BoundExceeded and DNotDividingM included
-        parser.error(str(exc))
+        subparser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -6,14 +6,14 @@ over the deletion positions v <= k.  Since [n-1; alpha - e_v] is
 to [alpha_1+...+alpha_k], the sum is the one binomial form
 [n; alpha] [alpha_1+...+alpha_k]/[n].  The deformed multinomial adds, over
 the d rotations beta of alpha, q**b(beta) times that form of beta with
-k = m/d, at q**m: one kernel call per rotation.  The rational definition
-and the deletion-term sum are oracles in `verify`.
+k = m/d, at q**m: one kernel call per rotation, which expands the form at q
+and interleaves its coefficients at stride m.  The rational definition and
+the deletion-term sum are oracles in `verify`.
 
 Compositions are 1-based: b(alpha) = sum (i-1) alpha_i.
 """
 from __future__ import annotations
 
-from collections import Counter
 from operator import add
 
 from .qpolys import BinomialForm, QPoly, expand, multinomial_exponents
@@ -36,15 +36,6 @@ def rotation_class(alpha: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
     return [rotate_right(alpha, j * step) for j in range(d)]
 
 
-def _prefix_form(alpha: tuple[int, ...], a: int) -> Counter:
-    """The map of [n; alpha] [a]/[n], for 0 < a <= n."""
-    n = sum(alpha)
-    exps = multinomial_exponents(n, alpha)
-    exps[a] += 1
-    exps[n] -= 1
-    return exps
-
-
 def partial_sum_multinomial(alpha, k: int) -> QPoly:
     """Inversion generating function of words of content alpha whose first
     letter is at most k: [n; alpha] [alpha_1+...+alpha_k]/[n]."""
@@ -56,33 +47,46 @@ def partial_sum_multinomial(alpha, k: int) -> QPoly:
         # the empty word has no first letter; the product formula reads 1 at k = m
         return QPoly.one() if k == m else QPoly.zero()
     a = sum(alpha[:k])
-    return expand(BinomialForm(0, _prefix_form(alpha, a))) if a else QPoly.zero()
+    if not a:
+        return QPoly.zero()
+    n = sum(alpha)
+    exps = multinomial_exponents(n, alpha)
+    exps[a] += 1
+    exps[n] -= 1
+    return expand(BinomialForm(0, exps))
 
 
 def _rotation_sum(alpha: tuple[int, ...], d: int, shift: int = 0, hooks=()) -> QPoly:
     """Sum over the d rotations beta of alpha of q**(b(beta) + m*shift) times
     [n; alpha] [A(beta)]/[n] times the map `hooks`, all at q**m, where A(beta)
-    is the sum of the first m/d entries of beta; 1 when n = 0."""
+    is the sum of the first m/d entries of beta; 1 when n = 0.
+
+    [n; beta] = [n; alpha], so the map of [n; alpha]/[n] times `hooks` is
+    built once and each rotation adds [A(beta)] to a copy.  Each form is
+    expanded at q, and its coefficients are added into the sum at stride m.
+    """
     m = len(alpha)
     rotations = rotation_class(alpha, d)
     if not any(alpha):
         return QPoly.one()
+    n = sum(alpha)
+    common = multinomial_exponents(n, alpha)
+    common.update(hooks)
+    common[n] -= 1
     terms = []
     for beta in rotations:
         a = sum(beta[: m // d])
         if a:
-            exps = _prefix_form(beta, a)
-            exps.update(hooks)
-            lift = b_composition(beta) + m * shift
-            terms.append(expand(BinomialForm(lift, {m * k: e for k, e in exps.items()})))
-    if len(terms) == 1:
-        return terms[0]
-    lo = min(term.offset for term in terms)
-    out = [0] * (max(term.degree for term in terms) + 1 - lo)
-    for term in terms:
-        i = term.offset - lo
-        out[i : i + len(term.coeffs)] = map(add, out[i : i + len(term.coeffs)], term.coeffs)
-    return QPoly(lo, out)
+            exps = common.copy()
+            exps[a] += 1
+            terms.append((b_composition(beta) + m * shift, expand(BinomialForm(0, exps)).coeffs))
+    lo = min(lift for lift, _ in terms)
+    out = [0] * (max(lift + m * (len(c) - 1) for lift, c in terms) + 1 - lo)
+    for lift, c in terms:
+        i = lift - lo
+        out[i : i + m * len(c) : m] = map(add, out[i : i + m * len(c) : m], c)
+    # each term is a ratio of q-integer products: its end coefficients are 1
+    return QPoly._trusted(lo, tuple(out))
 
 
 def deformed_multinomial(alpha, d: int) -> QPoly:

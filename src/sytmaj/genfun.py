@@ -25,6 +25,7 @@ from .shapes import (
     Partition,
     b_statistic,
     hook_lengths,
+    hook_multiset,
     partitions,
 )
 
@@ -35,7 +36,7 @@ def stanley(p: Partition) -> BinomialForm:
     if not p:
         raise ValueError("shape must be nonempty")
     exps = Counter(range(1, p.n + 1))
-    exps.subtract(hook_lengths(p).values())
+    exps.subtract(hook_multiset(p))
     return BinomialForm(b_statistic(p), exps)
 
 
@@ -44,7 +45,7 @@ def syt_count(p: Partition) -> int:
     if not p:
         return 1
     num = factorial(p.n)
-    for h in hook_lengths(p).values():
+    for h in hook_multiset(p):
         num //= h
     return num
 
@@ -147,7 +148,8 @@ def gmdn_fake_degree(blocks: BlockShape, m: int, d: int) -> QPoly:
     Each rotation beta of alpha contributes q**b(beta) [n; alpha]
     [A(beta)]/[n] at q**m, with A(beta) the sum of the first m/d entries of
     beta (its m/d deletion terms, telescoped); times the hook products that
-    is one binomial-form expansion per rotation.
+    is one binomial-form expansion per rotation, made at q and interleaved
+    into the sum at stride m.
     """
     if blocks.m != m:
         raise ValueError(f"block count {blocks.m} != m={m}")

@@ -2,11 +2,11 @@
 
 QPoly is a dense coefficient vector plus a degree offset.  Every closed form
 in the package is a BinomialForm q**s * prod_d (q**d - 1)**e_d, held as the
-map d -> e_d: a product adds maps, and q -> q**m scales the keys by m.  A
-q-hook-length product is e_d = [d <= n] - #{cells with hook length d}.
-expand is the one kernel that expands such a map.  The forms are
-palindromic, so it computes the lower half of the coefficients as a
-truncated power series and mirrors it.
+map d -> e_d: a product adds maps.  A form at q**m is expanded at q, and its
+coefficients are placed at stride m by the caller.  A q-hook-length product
+is e_d = [d <= n] - #{cells with hook length d}.  expand is the one kernel
+that expands such a map.  The forms are palindromic, so it computes the
+lower half of the coefficients as a truncated power series and mirrors it.
 """
 from __future__ import annotations
 
@@ -46,6 +46,14 @@ class QPoly:
         offset, coeffs = _normalize(offset, [int(c) for c in coeffs])
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _trusted(cls, offset: int, coeffs: tuple[int, ...]) -> "QPoly":
+        """Wrap a tuple of ints whose end coefficients are nonzero, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
 
     @staticmethod
     def zero() -> "QPoly":
@@ -263,7 +271,7 @@ def expand(form: BinomialForm) -> QPoly:
                     c[r::d] = itertools.accumulate(c[r::d])
     # (-1)**E P(q): the lower half takes the sign, the mirrored half P's own
     low = [-x for x in c] if total % 2 else c
-    coeffs = low + c[: length + 1 - half][::-1]
+    coeffs = tuple(low + c[: length + 1 - half][::-1])
     value = sum(coeffs)
     if total:
         ok = value == 0
@@ -271,7 +279,8 @@ def expand(form: BinomialForm) -> QPoly:
         ok = value * prod(d**-e for d, e in exps if e < 0) == prod(d**e for d, e in exps if e > 0)
     if not ok:
         raise NonzeroRemainder(f"{exponents} is not a polynomial")
-    return QPoly(shift, coeffs)
+    # both ends are +-1, so the tuple is already normal
+    return QPoly._trusted(shift, coeffs)
 
 
 # ---------------------------------------------------------------------------

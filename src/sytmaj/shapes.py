@@ -109,7 +109,16 @@ def hook_lengths(p: Partition) -> dict[Cell, int]:
 
 
 def hook_multiset(p: Partition) -> tuple[int, ...]:
-    return tuple(sorted(hook_lengths(p).values()))
+    """The sorted hook lengths, read from the row and column lengths."""
+    parts = p.parts
+    cols: list[int] = []  # column lengths, filled from the bottom row up
+    for r in range(len(parts), 0, -1):
+        cols += [r] * (parts[r - 1] - len(cols))
+    return tuple(sorted(
+        part - c + cols[c] - r
+        for r, part in enumerate(parts, 1)
+        for c in range(part)
+    ))
 
 
 def b_statistic(p: Partition) -> int:

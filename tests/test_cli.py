@@ -205,6 +205,15 @@ def test_argument_errors_exit_2():
         assert proc.returncode == 2 and "Traceback" not in proc.stderr, args
 
 
+def test_handler_errors_print_the_subcommand_usage():
+    for args in (["fakedeg", "--shape", "3,2", "--m", "2"],
+                 ["deformed", "--alpha", "2,1,1", "--d", "2"]):
+        proc = run_cli(args)
+        assert proc.returncode == 2, args
+        assert proc.stderr.startswith(f"usage: sytmaj {args[0]} "), proc.stderr
+        assert f"sytmaj {args[0]}: error: " in proc.stderr, proc.stderr
+
+
 def test_fakedeg_empty_blocks(capsys):
     assert main(["fakedeg", "--blocks", "|", "--d", "2"]) == 0
     assert json.loads(capsys.readouterr().out) == {"offset": 0, "coeffs": ["1"]}

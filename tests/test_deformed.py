@@ -276,6 +276,7 @@ def test_rotation_sum_golden():
 
 
 def test_one_kernel_call_per_rotation(monkeypatch):
+    # each form is expanded at q, not at q**m: no key exceeds n
     calls = []
     expand = sytmaj.deformed.expand
 
@@ -283,21 +284,26 @@ def test_one_kernel_call_per_rotation(monkeypatch):
         calls.append(form)
         return expand(form)
 
+    def keys_at_most(n):
+        return all(k <= n for form in calls for k, e in form.exponents.items() if e)
+
     monkeypatch.setattr(sytmaj.deformed, "expand", counting)
     for alpha in COMPS:
-        m = len(alpha)
+        m, n = len(alpha), sum(alpha)
         for d in _divisors(m):
             calls.clear()
             deformed_multinomial(alpha, d)
-            assert len(calls) <= d, (alpha, d)
+            assert len(calls) <= d and keys_at_most(n), (alpha, d)
         for k in range(1, m + 1):
             calls.clear()
             partial_sum_multinomial(alpha, k)
-            assert len(calls) <= 1, (alpha, k)
-    for shape, m, d in [("2|3,1", 2, 2), ("1|1|2", 3, 3), ("1||1,1|", 4, 2), ("2,1|1|1|", 4, 4)]:
+            assert len(calls) <= 1 and keys_at_most(n), (alpha, k)
+    for shape, m, d in [("2|3,1", 2, 2), ("1|1|2", 3, 3), ("1||1,1|", 4, 2), ("2,1|1|1|", 4, 4),
+                        ("10,8,6,4,2|9,7,5,3,1|6,6,6|5,5", 4, 2)]:
         calls.clear()
-        gmdn_fake_degree(parse_blocks(shape), m, d)
-        assert 0 < len(calls) <= d, shape
+        blocks = parse_blocks(shape)
+        gmdn_fake_degree(blocks, m, d)
+        assert 0 < len(calls) <= d and keys_at_most(blocks.n), shape
 
 
 def test_rotation_sum_multiplies_no_polynomials(monkeypatch):

@@ -143,6 +143,20 @@ def test_expand_examples():
     assert expand(form421) == q_int(7) * q_int(5) * QPoly.monomial(4)
 
 
+def test_expand_returns_a_normal_polynomial():
+    # expand builds its result unchecked; the public constructor must agree
+    # (odd E = sum e_d and a nonzero shift among the last four)
+    outs = [expand(stanley(p)) for n in range(1, 11) for p in partitions(n)]
+    outs += [q_multinomial(n, a) for n in range(7) for a in compositions(n, 4)]
+    outs += [expand(BinomialForm(shift, exps)) for shift, exps in (
+        (0, {}), (5, {1: 1}), (5, {2: 1}), (5, {1: 2, 2: 1}), (3, {2: 2, 1: -1}))]
+    for out in outs:
+        assert out == QPoly(out.offset, out.coeffs), out
+        assert out.coeffs[0] and out.coeffs[-1], out
+        assert all(type(c) is int for c in out.coeffs), out
+    assert expand(BinomialForm(5, {1: 2, 2: 1})) == QPoly(5, (-1, 2, 0, -2, 1))
+
+
 def test_expand_fast_matches_direct():
     for n in range(1, 11):
         for p in partitions(n):

@@ -56,6 +56,13 @@ def test_hook_lengths_examples():
     assert hook_multiset(Partition((4, 2))) == (1, 1, 2, 2, 4, 5)
 
 
+def test_hook_multiset_matches_hook_lengths():
+    assert hook_multiset(Partition()) == ()
+    for n in range(1, 15):
+        for p in partitions(n):
+            assert hook_multiset(p) == tuple(sorted(hook_lengths(p).values())), p
+
+
 def test_b_statistic_examples():
     assert b_statistic(Partition((4, 2))) == 2
     assert b_statistic(Partition((4, 2, 1))) == 4
