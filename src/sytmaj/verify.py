@@ -5,16 +5,24 @@ standard-filling counts, word enumeration, exhaustive move application,
 (for the q-hook-length product) cyclotomic factors multiplied out, or (for
 the deformed and partial sum multinomials) their defining sums of deletion
 terms and the rational definition by exact division.
-The tableau oracles share one count, `_fillings`, of the standard fillings
-by (maj, des), built by placing n, n-1, ..., 1 into the outer corners of the
-cells still empty.  It counts each state (bitmask of the empty cells, row
-of v+1) once, holding its counts packed in one int with slot maj*n + des,
-so it reaches the 20-cell bound on straight shapes; its memory grows with
-the number of order ideals of the shape.  The G(m,d,n) oracle lets n go
-only into the first m/d blocks, so it counts only canonical orbit
-representatives.  `strong_covers` finds one tableau's strong covers by
-trying every candidate block move, for the poset suite to compare with
-`build_poset`'s.
+The tableau oracles share one count of the standard fillings by (maj, des),
+`_corner_counts`, built by placing n, n-1, ..., 1 into the outer corners of
+the cells still empty.  It counts each state (bitmask of the empty cells,
+row of v+1) once, holding its counts packed in one int with slot
+maj*n + des, so it reaches the 20-cell bound on straight shapes; its memory
+grows with the number of order ideals of the shape.  It returns one packed
+count per corner that n can go into, and `_fillings` sums the corners it
+wants and decodes once.  The G(m,d,n) oracle lets n go only into the first
+m/d blocks, so it counts only canonical orbit representatives.  Those
+blocks hold the first cells, so it sums the corners below a cutoff, read
+from `_corner_table`: a cache keyed by the nonempty blocks, so that a run
+peels each distinct block sequence once, for every rotation, every d and
+every placement of the empty blocks.  The type-A oracles are not cached:
+each type-A check meets a partition once, and the tables of every partition
+up to their 12-cell bound hold about ten times the memory of the block
+tables, which a cache would keep to the end of the run.  `strong_covers`
+finds one tableau's strong covers by trying every candidate block move, for
+the poset suite to compare with `build_poset`'s.
 
 The suites are the rows of one table, `SUITES`.  A bounded row gives its
 default size bounds, its case generator and its per-case checks; one runner
@@ -104,13 +112,18 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # oracles
 
-# (bytes, memoryview format) of the unsigned slot widths `_fillings` packs into
+# (bytes, memoryview format) of the unsigned slot widths `_corner_counts` packs into
 _SLOTS = [(struct.calcsize(f), f) for f in "BHIQ"]
 
 
-def _fillings(shape, top: set[int] | None = None) -> Counter:
-    """Count the standard fillings of a shape by (maj, des), without building
-    a Tableau or visiting each filling.
+def _slot(n: int) -> tuple[int, str]:
+    """(bytes, memoryview format) of the narrowest slot that holds n!."""
+    return next(s for s in _SLOTS if 8 * s[0] >= factorial(n).bit_length())
+
+
+def _corner_counts(shape) -> tuple[tuple[int, int], ...]:
+    """(cell index, packed counts) for each outer corner of the full shape:
+    the standard fillings, by (maj, des), that put n in that corner.
 
     A standard filling is built by placing n, n-1, ..., 1 in turn into an
     outer corner of the cells still empty: a cell whose south and east
@@ -124,21 +137,15 @@ def _fillings(shape, top: set[int] | None = None) -> Counter:
     A state's counts are one int: slot maj*n + des holds its count, in a
     byte-aligned slot wide enough for n! (no count exceeds n!, and des < n,
     so slots neither carry nor collide).  Adding a descent is then one shift,
-    and merging the children one add; the total is decoded once at the end.
-    Memory grows with the number of order ideals of the shape: a straight
-    shape at the 20-cell bound is cheap, but one of many small blocks is not.
-
-    With `top`, n goes only into those cell indices.  This reads no hook
-    length and does no q-arithmetic: deleting the largest entry from an outer
-    corner is the definition of a standard filling, not a formula under test,
-    so the oracle stays independent of `stanley` and `gmdn_fake_degree`.
+    and merging the children one add; summed corners decode once, in
+    `_decode`.  Memory grows with the number of order ideals of the shape: a
+    straight shape at the 20-cell bound is cheap, but one of many small
+    blocks is not.
     """
     cells = shape.cells
     n = len(cells)
     if n > 20:
         raise BoundExceeded(f"shape has {n} cells, bound is 20")
-    if n == 0:
-        return Counter({(0, 0): 1})
     north, west = shape.neighbours
     # each cell with its south and east neighbours: cell i is an outer corner
     # of `mask` when mask & reach[i] == 1 << i
@@ -148,8 +155,7 @@ def _fillings(shape, top: set[int] | None = None) -> Counter:
             if j >= 0:
                 reach[j] |= 1 << i
     cell_info = [(1 << i, reach[i], r) for i, (r, _) in enumerate(cells)]
-    slot_bytes, fmt = next(s for s in _SLOTS if 8 * s[0] >= factorial(n).bit_length())
-    width = 8 * slot_bytes
+    width = 8 * _slot(n)[0]
     memo: dict[int, int] = {}
 
     def count(mask: int, last: int) -> int:
@@ -169,14 +175,40 @@ def _fillings(shape, top: set[int] | None = None) -> Counter:
         return got
 
     full = (1 << n) - 1
-    total = sum(count(full ^ bit, r) for i, (bit, reach, r) in enumerate(cell_info)
-                if reach == bit and (top is None or i in top))
+    corners = tuple((i, count(full ^ bit, r)) for i, (bit, reach, r) in enumerate(cell_info)
+                    if reach == bit)
     # `count` refers to itself, so without this the memo would outlive the
     # call until the cyclic garbage collector ran
     memo.clear()
-    nbytes = -(-total.bit_length() // width) * slot_bytes
+    return corners
+
+
+def _decode(total: int, n: int) -> Counter:
+    """The (maj, des) counts packed in a sum of `_corner_counts` of an n-cell
+    shape (n >= 1)."""
+    slot_bytes, fmt = _slot(n)
+    nbytes = -(-total.bit_length() // (8 * slot_bytes)) * slot_bytes
     slots = memoryview(total.to_bytes(nbytes, sys.byteorder)).cast(fmt)
     return Counter({divmod(k, n): c for k, c in enumerate(slots) if c})
+
+
+def _fillings(shape, top: set[int] | None = None) -> Counter:
+    """Count the standard fillings of a shape by (maj, des), without building
+    a Tableau or visiting each filling: the sum of the `_corner_counts` of
+    the corners in `top` (all of them when `top` is None), decoded once.
+
+    With `top`, n goes only into those cell indices.  This reads no hook
+    length and does no q-arithmetic: deleting the largest entry from an outer
+    corner is the definition of a standard filling, not a formula under test,
+    so the oracle stays independent of `stanley` and `gmdn_fake_degree`.
+    The type-A oracles call it afresh for each shape (see the module
+    docstring); `gmdn_gf_oracle` reads `_corner_table` instead.
+    """
+    corners = _corner_counts(shape)
+    n = len(shape.cells)
+    if n == 0:
+        return Counter({(0, 0): 1})
+    return _decode(sum(c for i, c in corners if top is None or i in top), n)
 
 
 def _maj_terms(fillings: Counter, base: int = 0, m: int = 1) -> Counter:
@@ -203,19 +235,41 @@ def majdes_values_oracle(shape) -> set[int]:
     return {maj - des for maj, des in _fillings(shape)}
 
 
+@cache
+def _corner_table(key: Partition | tuple[Partition, ...]) -> tuple[tuple[int, int], ...]:
+    """`_corner_counts` of a block shape's nonempty blocks, keyed by the one
+    Partition or by the tuple of them, so that every rotation, every d and
+    every placement of the empty blocks reads one table."""
+    return _corner_counts(key if isinstance(key, Partition) else BlockShape(key))
+
+
+def _leading_fillings(mu: BlockShape, cut: int) -> Counter:
+    """`_fillings(mu, set(range(cut)))`, read from the shared corner table.
+
+    Empty blocks hold no cell and add no row or column, so dropping them
+    leaves the cells and their order as they are."""
+    n = mu.n
+    if n == 0:
+        return Counter({(0, 0): 1})
+    blocks = tuple(b for b in mu.blocks if b)
+    table = _corner_table(blocks[0] if len(blocks) == 1 else blocks)
+    return _decode(sum(c for i, c in table if i < cut), n)
+
+
 def gmdn_gf_oracle(blocks: BlockShape, m: int, d: int) -> QPoly:
     """Sum of q^(b(alpha) + m*maj) over the canonical tableaux of the rotation
     orbit: those with n in one of the first m/d blocks (see
-    `canonical_orbit_tableaux`); at d = 1, every tableau of the shape."""
+    `canonical_orbit_tableaux`); at d = 1, every tableau of the shape.
+
+    Blocks run top to bottom, so those tableaux put n in a corner below a
+    cutoff cell index, read from the shared `_corner_table`."""
     orbit = blocks.orbit(d)
     step = blocks.m // d
     counts: Counter = Counter()
     for mu in orbit:
-        # blocks run top to bottom, so the first m/d hold the first cells
-        top = set(range(sum(mu.alpha()[:step])))
-        counts.update(_maj_terms(_fillings(mu, top), mu.b_alpha(), m))
+        fillings = _leading_fillings(mu, sum(mu.alpha()[:step]))
+        counts.update(_maj_terms(fillings, mu.b_alpha(), m))
     return QPoly.from_terms(counts)
-
 
 
 @cache

@@ -252,7 +252,7 @@ def test_output_determinism():
     assert c.stdout == d.stdout
 
 
-@pytest.mark.parametrize("suite", ["deformed", "closed-forms"])
+@pytest.mark.parametrize("suite", ["deformed", "closed-forms", "gmdn"])
 def test_verify_threads_print_the_threads_1_lines(capsys, monkeypatch, suite):
     pool_sizes = []
     fan_out = V._map_maybe_parallel

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import sytmaj.verify as V
 from sytmaj.cli import main
 from sytmaj.genfun import gmdn_fake_degree, stanley
 from sytmaj.qpolys import QPoly, expand
@@ -18,6 +19,7 @@ from sytmaj.shapes import (
 from sytmaj.tableaux import BoundExceeded, canonical_orbit_tableaux, enumerate_tableaux
 from sytmaj.verify import (
     _fillings,
+    _leading_fillings,
     block_shapes,
     des_gf_oracle,
     gmdn_gf_oracle,
@@ -101,6 +103,64 @@ def test_fillings_match_walk():
     assert len(tops) > 1000
     for shape, top in tops:
         assert _fillings(shape, top) == walk_fillings(shape, top), (str(shape), top)
+
+
+def _gmdn_suite_cases() -> list[tuple[str, int, int]]:
+    """The cases of the `gmdn` suite at its default bound."""
+    suite = V.SUITES["gmdn"]
+    [(_, max_n)] = suite.checks
+    return suite.cases(max_n)
+
+
+def test_shared_corner_table_matches_each_orbit_member():
+    cases = _gmdn_suite_cases()
+    assert cases == V._gmdn_cases(6, 4)
+    for shape_str, m, d in cases:
+        for mu in parse_blocks(shape_str).orbit(d):
+            # the corner table of mu is keyed by its nonempty blocks
+            blocks = tuple(b for b in mu.blocks if b)
+            key_shape = blocks[0] if len(blocks) == 1 else BlockShape(blocks)
+            assert key_shape.cells == mu.cells, str(mu)
+            cut = sum(mu.alpha()[:m // d])
+            assert _leading_fillings(mu, cut) == _fillings(mu, set(range(cut))), (str(mu), m, d)
+    for mu, top in gmdn_tops():
+        assert top == set(range(len(top)))
+        assert _leading_fillings(mu, len(top)) == walk_fillings(mu, top), (str(mu), top)
+
+
+def test_gmdn_suite_peels_each_block_sequence_once(monkeypatch):
+    keys = {tuple(b for b in mu.blocks if b)
+            for shape_str, _, d in _gmdn_suite_cases() for mu in parse_blocks(shape_str).orbit(d)}
+    peeled = []
+    peel = V._corner_counts
+
+    def spy(shape):
+        peeled.append(shape)
+        return peel(shape)
+
+    monkeypatch.setattr(V, "_corner_counts", spy)
+    # the benchmark clears every functools cache it finds in the module
+    assert V._corner_table in [f for f in vars(V).values() if hasattr(f, "cache_clear")]
+    V._corner_table.cache_clear()
+    first = V.run_suites(["gmdn"], threads=1)
+    assert first[1] and first[0][0].name == "4100 checks"
+    assert len(peeled) == len(keys)
+    V._corner_table.cache_clear()
+    assert V.run_suites(["gmdn"], threads=1) == first
+    assert len(peeled) == 2 * len(keys)
+
+
+def test_a_warm_corner_table_does_not_hide_a_fault(monkeypatch):
+    cases = V._gmdn_cases(4, 4)
+    assert V.run_suites(["gmdn"], max_n=4, threads=1) == (
+        [V.CheckResult("gmdn", f"{len(cases)} checks", True)], True)
+    assert V._corner_table.cache_info().currsize > 0
+    fake_degree = V.gmdn_fake_degree
+    monkeypatch.setattr(V, "gmdn_fake_degree",
+                        lambda blocks, m, d: fake_degree(blocks, m, d).shift(1))
+    rows, ok = V.run_suites(["gmdn"], max_n=4, threads=1)
+    assert not ok and not any(r.ok for r in rows)
+    assert [r.name for r in rows] == [f"{s} m={m} d={d}" for s, m, d in cases]
 
 
 @pytest.mark.parametrize("text", ["6,5,4,3,2", "5,5,5,5", "7,6,4,2,1", "10,10"])
