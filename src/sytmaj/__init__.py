@@ -41,23 +41,16 @@ from .tableaux import (
     ShapeNotOneRowBlocks,
     Tableau,
     canonical_orbit_tableaux,
-    count_tableaux,
     enumerate_tableaux,
     exceptional_set,
-    from_rows,
     maxmaj_tableau,
     minmaj_tableau,
-    parse_tableau,
     to_word,
     word_descent_set,
     word_inv,
 )
 from .genfun import (
-    block_maj_gf,
-    coefficient_via_H,
-    generalized_binomial,
     gmdn_fake_degree,
-    mahonian_count,
     stanley,
     syt_count,
     wreath_fake_degree,
@@ -79,7 +72,6 @@ from .mutations import (
     phi,
     phi_move,
     positive_rotations,
-    poset_ground,
     verify_ranked,
 )
 from .zeros import (
@@ -103,20 +95,18 @@ __all__ = [
     "q_multinomial", "shape_predicates", "substitute_power",
     # tableaux
     "BoundExceeded", "ShapeNotOneRowBlocks", "Tableau",
-    "canonical_orbit_tableaux", "count_tableaux", "enumerate_tableaux",
-    "exceptional_set", "from_rows", "maxmaj_tableau", "minmaj_tableau",
-    "parse_tableau", "to_word", "word_descent_set", "word_inv",
+    "canonical_orbit_tableaux", "enumerate_tableaux", "exceptional_set",
+    "maxmaj_tableau", "minmaj_tableau", "to_word", "word_descent_set",
+    "word_inv",
     # genfun
-    "block_maj_gf", "coefficient_via_H", "generalized_binomial",
-    "gmdn_fake_degree", "mahonian_count", "stanley", "syt_count",
-    "wreath_fake_degree",
+    "gmdn_fake_degree", "stanley", "syt_count", "wreath_fake_degree",
     # deformed
     "deformed_multinomial", "partial_sum_multinomial", "rotate_right",
     "rotation_class",
     # mutations
     "ExceptionalTableau", "Move", "PhiBranchError", "SytPoset", "block_rule",
     "build_poset", "negative_rotations", "phi", "phi_move",
-    "positive_rotations", "poset_ground", "verify_ranked",
+    "positive_rotations", "verify_ranked",
     # zeros
     "SupportPrediction", "SupportReport", "check_parity_unimodal",
     "support_des", "support_gmdn", "support_type_A", "verify_support",

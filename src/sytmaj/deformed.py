@@ -14,6 +14,7 @@ Compositions are 1-based: b(alpha) = sum (i-1) alpha_i.
 """
 from __future__ import annotations
 
+from collections import Counter
 from operator import add
 
 from .qpolys import BinomialForm, QPoly, expand, multinomial_exponents
@@ -56,29 +57,29 @@ def partial_sum_multinomial(alpha, k: int) -> QPoly:
     return expand(BinomialForm(0, exps))
 
 
-def _rotation_sum(alpha: tuple[int, ...], d: int, shift: int = 0, hooks=()) -> QPoly:
-    """Sum over the d rotations beta of alpha of q**(b(beta) + m*shift) times
-    [n; alpha] [A(beta)]/[n] times the map `hooks`, all at q**m, where A(beta)
-    is the sum of the first m/d entries of beta; 1 when n = 0.
+def _rotation_sum(alpha: tuple[int, ...], d: int, form: BinomialForm) -> QPoly:
+    """Sum over the d rotations beta of alpha of q**(b(beta) + m*s) times
+    the map E of `form` = (s, E) times [A(beta)]/[n], all at q**m, where
+    A(beta) is the sum of the first m/d entries of beta; 1 when n = 0.
 
-    [n; beta] = [n; alpha], so the map of [n; alpha]/[n] times `hooks` is
-    built once and each rotation adds [A(beta)] to a copy.  Each form is
-    expanded at q, and its coefficients are added into the sum at stride m.
+    E holds [n; alpha] (times the hook products of a block shape), and
+    [n; beta] = [n; alpha], so each rotation adds [A(beta)]/[n] to a copy
+    of the one shared map.  Each form is expanded at q, and its
+    coefficients are added into the sum at stride m.
     """
     m = len(alpha)
     rotations = rotation_class(alpha, d)
     if not any(alpha):
         return QPoly.one()
     n = sum(alpha)
-    common = multinomial_exponents(n, alpha)
-    common.update(hooks)
-    common[n] -= 1
+    shift, common = form
     terms = []
     for beta in rotations:
         a = sum(beta[: m // d])
         if a:
-            exps = common.copy()
+            exps = Counter(common)
             exps[a] += 1
+            exps[n] -= 1
             terms.append((b_composition(beta) + m * shift, expand(BinomialForm(0, exps)).coeffs))
     lo = min(lift for lift, _ in terms)
     out = [0] * (max(lift + m * (len(c) - 1) for lift, c in terms) + 1 - lo)
@@ -92,4 +93,5 @@ def _rotation_sum(alpha: tuple[int, ...], d: int, shift: int = 0, hooks=()) -> Q
 def deformed_multinomial(alpha, d: int) -> QPoly:
     """The rotation sum over [d] in q**(nm/d), as the sum over the d
     rotations beta of q**b(beta) [n; alpha] [A(beta)]/[n] at q**m."""
-    return _rotation_sum(tuple(alpha), d)
+    alpha = tuple(alpha)
+    return _rotation_sum(alpha, d, BinomialForm(0, multinomial_exponents(sum(alpha), alpha)))

@@ -553,12 +553,6 @@ def _ground(p: Partition) -> tuple[list[Tableau], list[int], tuple[Tableau, ...]
     return [t for _, _, t in keyed], [maj for maj, _, _ in keyed], extremes
 
 
-def poset_ground(p: Partition) -> list[Tableau]:
-    """Ground set: all tableaux, minus the two extremes for rectangles with
-    at least two rows and columns."""
-    return _ground(p)[0]
-
-
 def _forward_moves(t: Tableau) -> list[Move]:
     """Positive rotations and the block rule at t: the strong step whose
     transposed edges, on a self-conjugate shape, are all the others."""

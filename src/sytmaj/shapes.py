@@ -48,7 +48,7 @@ class Partition(_Cells):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(self.parts)
 

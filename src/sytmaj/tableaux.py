@@ -152,10 +152,6 @@ def from_rows(rows: list[list[int]]) -> Tableau:
     return Tableau(shape, tuple(v for row in rows for v in row))
 
 
-def parse_tableau(text: str) -> Tableau:
-    return from_rows([[int(v) for v in row.split(",")] for row in text.split("/")])
-
-
 def enumerate_tableaux(shape: Shape, limit: int = 20) -> Iterator[Tableau]:
     """Stream every standard filling exactly once, in the deterministic
     order given by value-ascending backtracking with cells tried row-major."""
@@ -181,10 +177,6 @@ def enumerate_tableaux(shape: Shape, limit: int = 20) -> Iterator[Tableau]:
                 values[i] = 0
 
     yield from rec(1)
-
-
-def count_tableaux(shape: Shape, limit: int = 20) -> int:
-    return sum(1 for _ in enumerate_tableaux(shape, limit))
 
 
 def to_word(t: Tableau) -> tuple[int, ...]:

@@ -4,7 +4,10 @@ Every closed formula in the package is re-derived here independently:
 standard-filling counts, word enumeration, exhaustive move application,
 (for the q-hook-length product) cyclotomic factors multiplied out, or (for
 the deformed and partial sum multinomials) their defining sums of deletion
-terms and the rational definition by exact division.
+terms and the rational definition by exact division.  Two closed forms live
+here only as oracles: single coefficients of SYT(lambda)^maj as polynomials
+in the hook multiplicities H_i (`coefficient_via_H`), and the Mahonian
+counts by a signed sum over partitions (`mahonian_count`).
 The tableau oracles share one count of the standard fillings by (maj, des),
 `_corner_counts`, built by placing n, n-1, ..., 1 into the outer corners of
 the cells still empty.  It counts each state (bitmask of the empty cells,
@@ -93,7 +96,7 @@ from .tableaux import (
     maxmaj_tableau,
     minmaj_tableau,
 )
-from .zeros import check_parity_unimodal, support_gmdn, support_type_A, verify_support
+from .zeros import check_parity_unimodal, support_des, support_gmdn, support_type_A, verify_support
 
 
 @dataclass(frozen=True)
@@ -296,6 +299,73 @@ def stanley_cyclotomic_oracle(p: Partition) -> QPoly:
         for _ in range(n // j - sum(1 for h in hooks if h % j == 0)):
             out = out * cyclotomic_polynomial(j)
     return out.shift(b_statistic(p))
+
+
+def generalized_binomial(a: int, k: int) -> int:
+    """a(a-1)...(a-k+1)/k! for any integer a (may be negative)."""
+    if k < 0:
+        return 0
+    num = 1
+    for i in range(k):
+        num *= a - i
+    return num // factorial(k)
+
+
+@cache
+def _mu_profiles(d: int, max_part: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Part-multiplicity profiles of the partitions of d with bounded parts."""
+    out: list[tuple[tuple[int, int], ...]] = []
+
+    def rec(rest: int, cap: int, acc: tuple[tuple[int, int], ...]) -> None:
+        if rest == 0:
+            out.append(acc)
+            return
+        for part in range(min(rest, cap), 0, -1):
+            for mult in range(rest // part, 0, -1):
+                rec(rest - mult * part, part - 1, acc + ((part, mult),))
+
+    rec(d, max_part, ())
+    return tuple(out)
+
+
+def coefficient_via_H(p: Partition, d: int) -> int:
+    """Coefficient of q**(b(lambda)+d) as a polynomial in the H_i."""
+    if d < 0:
+        return 0
+    n = p.n
+    H = [0] * (n + 1)
+    for h in hook_lengths(p).values():
+        H[h] += 1
+    total = 0
+    for prof in _mu_profiles(d, n):
+        term = 1
+        for part, mult in prof:
+            term *= generalized_binomial(H[part] + mult - 2, mult)
+            if term == 0:
+                break
+        total += term
+    return total
+
+
+def _distinct_large_parts(mu: Partition) -> bool:
+    large = [p for p in mu.parts if p > 1]
+    return len(large) == len(set(large))
+
+
+def mahonian_count(n: int, d: int) -> int:
+    """Number of permutations of n with d inversions, via the signed sum
+    over partitions of d with bounded first part and distinct parts > 1."""
+    if d < 0 or d > comb(n, 2):
+        return 0
+    total = 0
+    for mu in partitions(d, max_part=n):
+        if not _distinct_large_parts(mu):
+            continue
+        m1 = sum(1 for p in mu.parts if p == 1)
+        nlarge = len(mu.parts) - m1
+        total += (-1) ** nlarge * generalized_binomial(n + m1 - 2, m1)
+    return total
+
 
 @cache
 def _word_buckets(alpha: tuple[int, ...]) -> dict[int, Counter]:
@@ -544,11 +614,10 @@ def _check_poset(shape_str: str) -> tuple[str, bool, str]:
 
 def _check_des(shape_str: str) -> tuple[str, bool, str]:
     p = parse_partition(shape_str)
-    lo = p.conjugate().part(1) - 1
-    hi = p.n - p.part(1)
+    want = support_des(p).degrees
     actual = set(des_gf_oracle(p).support())
-    ok = actual == set(range(lo, hi + 1))
-    return shape_str, ok, "" if ok else f"des support {sorted(actual)} != [{lo},{hi}]"
+    ok = actual == want
+    return shape_str, ok, "" if ok else f"des support {sorted(actual)} != {sorted(want)}"
 
 
 def _check_majdes(shape_str: str) -> tuple[str, bool, str]:

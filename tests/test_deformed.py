@@ -351,3 +351,6 @@ def test_oracles_live_in_verify():
                  "composition_degree", "deformed_binomial"):
         assert not hasattr(sytmaj.deformed, name), name
         assert name not in sytmaj.__all__, name
+    for name in ("coefficient_via_H", "generalized_binomial", "mahonian_count", "block_maj_gf"):
+        assert not hasattr(sytmaj.genfun, name), name
+        assert name not in sytmaj.__all__, name

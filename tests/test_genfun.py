@@ -4,23 +4,13 @@ from math import comb
 
 import pytest
 
-from sytmaj.genfun import (
-    _distinct_large_parts,
-    _hook_form,
-    block_maj_gf,
-    coefficient_via_H,
-    generalized_binomial,
-    gmdn_fake_degree,
-    mahonian_count,
-    stanley,
-    syt_count,
-    wreath_fake_degree,
-)
+from sytmaj.genfun import gmdn_fake_degree, stanley, syt_count, wreath_fake_degree
 from sytmaj.qpolys import (
     QPoly,
     divide_exact,
     divide_exact_int,
     expand,
+    multinomial_exponents,
     q_binomial,
     q_int,
     q_multinomial,
@@ -36,9 +26,13 @@ from sytmaj.shapes import (
     partitions,
 )
 from sytmaj.verify import (
+    _distinct_large_parts,
     block_shapes,
+    coefficient_via_H,
     deformed_multinomial_by_deletion,
+    generalized_binomial,
     gmdn_gf_oracle,
+    mahonian_count,
     maj_gf_oracle,
 )
 
@@ -111,39 +105,47 @@ def test_stanley_exponents_nonnegative():
             assert all(e >= 0 for e in phi_exps[1:]), p
 
 
-def test_hook_form_skips_empty_blocks():
+def test_stanley_of_blocks_is_multinomial_times_block_forms():
+    # [n; alpha] prod SYT(lambda^i)^maj: each block's [d <= alpha_i] cancels
+    # the multinomial's -[d <= alpha_i]; empty blocks add nothing
+    def nonzero(exps):
+        return {d: e for d, e in exps.items() if e}
+
     for n in range(0, 7):
         for m in (1, 2, 3):
             for bs in block_shapes(n, m):
-                form = _hook_form(bs)
-                want = Counter()
+                form = stanley(bs)
+                want = multinomial_exponents(n, bs.alpha())
                 for b in bs.blocks:
                     if b:
                         want.update(stanley(b).exponents)
                 assert form.shift == sum(b_statistic(b) for b in bs.blocks), bs
-                assert form.exponents == want, bs  # Counters: a missing key is 0
+                assert nonzero(form.exponents) == nonzero(want), bs
+    assert expand(stanley(parse_blocks("||"))) == QPoly.one()
+    with pytest.raises(ValueError):
+        stanley(Partition())
 
 
 def test_block_maj_gf():
     p = Partition((3, 2, 1))
-    assert block_maj_gf(BlockShape((p,))) == expand(stanley(p))
+    assert expand(stanley(BlockShape((p,)))) == expand(stanley(p))
     # one-row blocks recover the plain q-multinomial
     alpha = (3, 2, 2)
     bs = BlockShape(tuple(Partition((a,)) for a in reversed(alpha)))
-    assert block_maj_gf(bs) == q_multinomial(7, alpha)
+    assert expand(stanley(bs)) == q_multinomial(7, alpha)
     bs2 = parse_blocks("2|3,1")
-    assert block_maj_gf(bs2) == maj_gf_oracle(bs2)
-    assert block_maj_gf(bs2).eval_at_1() == 45
+    assert expand(stanley(bs2)) == maj_gf_oracle(bs2)
+    assert expand(stanley(bs2)).eval_at_1() == 45
 
 
 def test_block_maj_gf_matches_enumeration_small():
     for n in range(0, 8):
         for m in (1, 2, 3):
             for bs in block_shapes(n, m):
-                assert block_maj_gf(bs) == maj_gf_oracle(bs)
+                assert expand(stanley(bs)) == maj_gf_oracle(bs)
     for n in (8, 9, 10):
         for bs in block_shapes(n, 2):
-            assert block_maj_gf(bs) == maj_gf_oracle(bs)
+            assert expand(stanley(bs)) == maj_gf_oracle(bs)
 
 
 def test_block_forms_match_multiplied_products():
@@ -151,12 +153,13 @@ def test_block_forms_match_multiplied_products():
         for m in (1, 2, 3):
             for bs in block_shapes(n, m):
                 old = old_block_maj_gf(bs)
-                assert block_maj_gf(bs) == old, bs
+                assert expand(stanley(bs)) == old, bs
                 want = substitute_power(old, m).shift(bs.b_alpha())
                 assert wreath_fake_degree(bs, m) == want, bs
     bs = parse_blocks(N83)
-    want = substitute_power(old_block_maj_gf(bs), 4).shift(bs.b_alpha())
-    assert wreath_fake_degree(bs, 4) == want
+    old = old_block_maj_gf(bs)
+    assert expand(stanley(bs)) == old
+    assert wreath_fake_degree(bs, 4) == substitute_power(old, 4).shift(bs.b_alpha())
 
 
 def test_generalized_binomial():
