@@ -14,16 +14,18 @@ the cells still empty.  It counts each state (bitmask of the empty cells,
 row of v+1) once, holding its counts packed in one int with slot
 maj*n + des, so it reaches the 20-cell bound on straight shapes; its memory
 grows with the number of order ideals of the shape.  It returns one packed
-count per corner that n can go into, and `_fillings` sums the corners it
-wants and decodes once.  The G(m,d,n) oracle lets n go only into the first
-m/d blocks, so it counts only canonical orbit representatives.  Those
-blocks hold the first cells, so it sums the corners below a cutoff, read
-from `_corner_table`: a cache keyed by the nonempty blocks, so that a run
-peels each distinct block sequence once, for every rotation, every d and
-every placement of the empty blocks.  The type-A oracles are not cached:
-each type-A check meets a partition once, and the tables of every partition
-up to their 12-cell bound hold about ten times the memory of the block
-tables, which a cache would keep to the end of the run.  `strong_covers`
+count per corner that n can go into.  `_corner_table` caches those corners,
+one table per shape, and `_fillings`, the one reader that every tableau
+oracle calls, sums the corners it wants and decodes once.  The G(m,d,n)
+oracle lets n go only into the first m/d blocks, so it counts only
+canonical orbit representatives; those blocks hold the first cells, so it
+sums the corners below a cutoff.  A block shape is keyed by its nonempty
+blocks, so a run peels each distinct block sequence once, for every
+rotation, every d and every placement of the empty blocks, and a block
+shape with one nonempty block reads that partition's table.  One run of the
+`stanley`, `support-a` and `des` suites builds 271 tables, one per
+partition up to 12 cells, and `gmdn` then adds 212, 483 in all.  With
+--threads > 1 each worker process fills its own tables.  `strong_covers`
 finds one tableau's strong covers by trying every candidate block move, for
 the poset suite to compare with `build_poset`'s.
 
@@ -195,23 +197,37 @@ def _decode(total: int, n: int) -> Counter:
     return Counter({divmod(k, n): c for k, c in enumerate(slots) if c})
 
 
-def _fillings(shape, top: set[int] | None = None) -> Counter:
-    """Count the standard fillings of a shape by (maj, des), without building
-    a Tableau or visiting each filling: the sum of the `_corner_counts` of
-    the corners in `top` (all of them when `top` is None), decoded once.
+@cache
+def _corner_table(key) -> tuple[tuple[int, int], ...]:
+    """`_corner_counts` of a shape, kept for the whole process: the one table
+    that every tableau oracle reads.  A Partition or SkewShape is its own
+    key; a block shape is keyed by its nonempty blocks (see `_fillings`).
+    Past the 20-cell bound it raises, and a cache stores no exception."""
+    return _corner_counts(BlockShape(key) if isinstance(key, tuple) else key)
 
-    With `top`, n goes only into those cell indices.  This reads no hook
-    length and does no q-arithmetic: deleting the largest entry from an outer
-    corner is the definition of a standard filling, not a formula under test,
-    so the oracle stays independent of `stanley` and `gmdn_fake_degree`.
-    The type-A oracles call it afresh for each shape (see the module
-    docstring); `gmdn_gf_oracle` reads `_corner_table` instead.
+
+def _fillings(shape, cut: int | None = None) -> Counter:
+    """Count the standard fillings of a shape by (maj, des), without building
+    a Tableau or visiting each filling: the sum of the corners of
+    `_corner_table` with cell index below `cut` (every corner when `cut` is
+    None), decoded once.
+
+    A block shape reads the table of its nonempty blocks, the one Partition
+    when only one block is nonempty, else the tuple of them: empty blocks
+    hold no cell and add no row or column, so dropping them leaves the cells
+    and their order as they are, and G(1,1,n) reads the type-A table.  This
+    reads no hook length and does no q-arithmetic: deleting the largest
+    entry from an outer corner is the definition of a standard filling, not
+    a formula under test, so the oracles stay independent of `stanley` and
+    `gmdn_fake_degree`.
     """
-    corners = _corner_counts(shape)
-    n = len(shape.cells)
+    n = shape.n
     if n == 0:
         return Counter({(0, 0): 1})
-    return _decode(sum(c for i, c in corners if top is None or i in top), n)
+    if isinstance(shape, BlockShape):
+        blocks = tuple(b for b in shape.blocks if b)
+        shape = blocks[0] if len(blocks) == 1 else blocks
+    return _decode(sum(c for i, c in _corner_table(shape) if cut is None or i < cut), n)
 
 
 def _maj_terms(fillings: Counter, base: int = 0, m: int = 1) -> Counter:
@@ -238,39 +254,18 @@ def majdes_values_oracle(shape) -> set[int]:
     return {maj - des for maj, des in _fillings(shape)}
 
 
-@cache
-def _corner_table(key: Partition | tuple[Partition, ...]) -> tuple[tuple[int, int], ...]:
-    """`_corner_counts` of a block shape's nonempty blocks, keyed by the one
-    Partition or by the tuple of them, so that every rotation, every d and
-    every placement of the empty blocks reads one table."""
-    return _corner_counts(key if isinstance(key, Partition) else BlockShape(key))
-
-
-def _leading_fillings(mu: BlockShape, cut: int) -> Counter:
-    """`_fillings(mu, set(range(cut)))`, read from the shared corner table.
-
-    Empty blocks hold no cell and add no row or column, so dropping them
-    leaves the cells and their order as they are."""
-    n = mu.n
-    if n == 0:
-        return Counter({(0, 0): 1})
-    blocks = tuple(b for b in mu.blocks if b)
-    table = _corner_table(blocks[0] if len(blocks) == 1 else blocks)
-    return _decode(sum(c for i, c in table if i < cut), n)
-
-
 def gmdn_gf_oracle(blocks: BlockShape, m: int, d: int) -> QPoly:
     """Sum of q^(b(alpha) + m*maj) over the canonical tableaux of the rotation
     orbit: those with n in one of the first m/d blocks (see
     `canonical_orbit_tableaux`); at d = 1, every tableau of the shape.
 
     Blocks run top to bottom, so those tableaux put n in a corner below a
-    cutoff cell index, read from the shared `_corner_table`."""
+    cutoff cell index."""
     orbit = blocks.orbit(d)
     step = blocks.m // d
     counts: Counter = Counter()
     for mu in orbit:
-        fillings = _leading_fillings(mu, sum(mu.alpha()[:step]))
+        fillings = _fillings(mu, sum(mu.alpha()[:step]))
         counts.update(_maj_terms(fillings, mu.b_alpha(), m))
     return QPoly.from_terms(counts)
 

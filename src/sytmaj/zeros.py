@@ -18,7 +18,6 @@ from .shapes import (
     Partition,
     SkewShape,
     b_statistic,
-    hook_lengths,
 )
 
 
@@ -85,7 +84,7 @@ def support_gmdn(blocks: BlockShape, m: int, d: int) -> SupportPrediction:
         if head == 0:
             continue
         width = head + comb(n, 2) - mu.hook_sum()
-        excluded = _gmdn_excluded(mu, step, n)
+        excluded = {1, width - 1} if _big_rectangle_window(mu, head, n) else ()
         base = mu.b_alpha()
         bl = mu.b_blocks()
         degrees.update(
@@ -94,18 +93,13 @@ def support_gmdn(blocks: BlockShape, m: int, d: int) -> SupportPrediction:
     return SupportPrediction("wreath" if d == 1 else "gmdn", frozenset(degrees))
 
 
-def _gmdn_excluded(mu: BlockShape, step: int, n: int) -> frozenset[int]:
-    """Holes in the degree window: one step above the bottom and one step
-    below the top, which exist exactly when the window is carried by the
-    single-shape polynomial of a rectangle with >= 2 rows and columns."""
-    for b in mu.blocks:
-        if b.n == n and b.is_big_rectangle():
-            return frozenset({1, comb(n + 1, 2) - sum(hook_lengths(b).values()) - 1})
-    if sum(mu.alpha()[:step]) == 1:
-        for b in mu.blocks:
-            if b.n == n - 1 and b.is_big_rectangle():
-                return frozenset({1, comb(n, 2) - sum(hook_lengths(b).values()) - 1})
-    return frozenset()
+def _big_rectangle_window(mu: BlockShape, head: int, n: int) -> bool:
+    """Whether the degree window has holes one step above the bottom and one
+    step below the top: exactly when it is carried by the single-shape
+    polynomial of a rectangle with >= 2 rows and columns, a block of all n
+    cells, or of n-1 cells when the first m/d blocks hold one cell."""
+    return any(b.is_big_rectangle() and (b.n == n or (head == 1 and b.n == n - 1))
+               for b in mu.blocks)
 
 
 def check_parity_unimodal(p: Partition) -> bool:

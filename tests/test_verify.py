@@ -7,7 +7,7 @@ import pytest
 import sytmaj.verify as V
 from sytmaj.cli import main
 from sytmaj.genfun import gmdn_fake_degree, stanley
-from sytmaj.qpolys import QPoly, expand
+from sytmaj.qpolys import BinomialForm, QPoly, expand
 from sytmaj.shapes import (
     BlockShape,
     DNotDividingM,
@@ -19,7 +19,6 @@ from sytmaj.shapes import (
 from sytmaj.tableaux import BoundExceeded, canonical_orbit_tableaux, enumerate_tableaux
 from sytmaj.verify import (
     _fillings,
-    _leading_fillings,
     block_shapes,
     des_gf_oracle,
     gmdn_gf_oracle,
@@ -79,8 +78,8 @@ def walk_fillings(shape, top=None) -> Counter:
 
 
 def gmdn_tops():
-    """Every (shape, top) pair that `gmdn_gf_oracle` passes to `_fillings` on
-    block shapes with n <= 5 and m <= 4."""
+    """Every (shape, top) pair that `gmdn_gf_oracle` reads, as the set of cell
+    indices below its cutoff, on block shapes with n <= 5 and m <= 4."""
     for n in range(6):
         for m in range(1, 5):
             for bs in block_shapes(n, m):
@@ -97,12 +96,13 @@ def test_fillings_match_walk():
     shapes.append(SkewShape(Partition((2,) * 40 + (1,)), Partition((2,) * 34 + (1,))))
     for shape in shapes:
         assert _fillings(shape) == walk_fillings(shape), str(shape)
-        assert _fillings(shape, set()) == walk_fillings(shape, set()), str(shape)
-        assert not _fillings(shape, set()) or shape.n == 0, str(shape)
+        assert _fillings(shape, 0) == walk_fillings(shape, set()), str(shape)
+        assert not _fillings(shape, 0) or shape.n == 0, str(shape)
     tops = list(gmdn_tops())
     assert len(tops) > 1000
     for shape, top in tops:
-        assert _fillings(shape, top) == walk_fillings(shape, top), (str(shape), top)
+        assert top == set(range(len(top)))
+        assert _fillings(shape, len(top)) == walk_fillings(shape, top), (str(shape), top)
 
 
 def _gmdn_suite_cases() -> list[tuple[str, int, int]]:
@@ -122,10 +122,7 @@ def test_shared_corner_table_matches_each_orbit_member():
             key_shape = blocks[0] if len(blocks) == 1 else BlockShape(blocks)
             assert key_shape.cells == mu.cells, str(mu)
             cut = sum(mu.alpha()[:m // d])
-            assert _leading_fillings(mu, cut) == _fillings(mu, set(range(cut))), (str(mu), m, d)
-    for mu, top in gmdn_tops():
-        assert top == set(range(len(top)))
-        assert _leading_fillings(mu, len(top)) == walk_fillings(mu, top), (str(mu), top)
+            assert _fillings(mu, cut) == walk_fillings(mu, set(range(cut))), (str(mu), m, d)
 
 
 def test_gmdn_suite_peels_each_block_sequence_once(monkeypatch):
@@ -150,6 +147,29 @@ def test_gmdn_suite_peels_each_block_sequence_once(monkeypatch):
     assert len(peeled) == 2 * len(keys)
 
 
+def test_type_a_suites_peel_each_partition_once(monkeypatch):
+    peeled = []
+    peel = V._corner_counts
+
+    def spy(shape):
+        peeled.append(shape)
+        return peel(shape)
+
+    monkeypatch.setattr(V, "_corner_counts", spy)
+    V._corner_table.cache_clear()
+    rows, ok = V.run_suites(["stanley", "support-a", "des"], threads=1)
+    assert ok and [r.name for r in rows] == ["271 checks", "271 checks", "409 checks"]
+    # one table per partition up to 12 cells, shared by the four oracles
+    assert sorted(map(str, peeled)) == sorted(V._shape_strings(12))
+    # a block shape whose only nonempty block is a partition reads its table
+    lam = Partition((4, 3, 1))
+    for mu in (BlockShape((lam,)), BlockShape((Partition(), lam, Partition()))):
+        assert _fillings(mu) == _fillings(lam)
+        # cell 3 ends the first row: the one corner below the cutoff
+        assert _fillings(mu, 4) == _fillings(lam, 4) == walk_fillings(lam, {0, 1, 2, 3})
+    assert len(peeled) == 271
+
+
 def test_a_warm_corner_table_does_not_hide_a_fault(monkeypatch):
     cases = V._gmdn_cases(4, 4)
     assert V.run_suites(["gmdn"], max_n=4, threads=1) == (
@@ -161,6 +181,22 @@ def test_a_warm_corner_table_does_not_hide_a_fault(monkeypatch):
     rows, ok = V.run_suites(["gmdn"], max_n=4, threads=1)
     assert not ok and not any(r.ok for r in rows)
     assert [r.name for r in rows] == [f"{s} m={m} d={d}" for s, m, d in cases]
+    # the type-A suites read the same table
+    V._corner_table.cache_clear()
+    shapes = V._shape_strings(5)
+    assert V.run_suites(["stanley"], max_n=5, threads=1) == (
+        [V.CheckResult("stanley", f"{len(shapes)} checks", True)], True)
+    assert V._corner_table.cache_info().currsize == len(shapes)
+    form = V.stanley
+
+    def shifted(p):
+        shift, exponents = form(p)
+        return BinomialForm(shift + 1, exponents)
+
+    monkeypatch.setattr(V, "stanley", shifted)
+    rows, ok = V.run_suites(["stanley"], max_n=5, threads=1)
+    assert not ok and not any(r.ok for r in rows)
+    assert [r.name for r in rows] == shapes
 
 
 @pytest.mark.parametrize("text", ["6,5,4,3,2", "5,5,5,5", "7,6,4,2,1", "10,10"])
