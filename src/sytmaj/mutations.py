@@ -16,17 +16,21 @@ anti-transposed filling: rows and columns swapped and each value v read as
 n+1-v.  `_negative_rotations` is the positive scan run on that filling, so
 the rotation conditions live in one scan.
 
+Each order is one step, taken at t and at its transpose t' (see
+`build_poset`): the positive rotations and the block rule for the strong
+order, phi for the weak one.  Transposition complements the descent set, so
+the positive rotations at t' read back are the negative rotations into t,
+and a strong build never runs the negative scan.  Its step reads only the
+row and column arrays, which t' has swapped, so it transposes no tableau.
 On a self-conjugate shape transposition maps the ground set to itself and
-reverses maj.  So there every transposed edge, and every negative-rotation
-edge, is a forward edge read back through the transpose, and only the
-positive rotations are scanned.  The candidate search for one tableau's
-strong covers, negative rotations included, is `verify.strong_covers`.
+reverses maj, so there the step is taken at t alone and each edge is
+mirrored.  The candidate search for one tableau's strong covers, which
+scans the negative rotations at t itself, is `verify.strong_covers`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
 from math import comb
 from operator import itemgetter
 from typing import Iterator
@@ -319,11 +323,8 @@ def _match_b5(rows: list[int], cols: list[int]) -> Move | None:
     return _b5_move(k)
 
 
-def _block_matches(t: Tableau) -> Iterator[Move | None]:
-    """Each block rule's match at t, B1 to B5, None where it does not apply."""
-    if not isinstance(t.shape, Partition):
-        raise ValueError("block rules are defined for straight shapes only")
-    rows, cols = _value_coordinates(t)
+def _block_matches(rows: list[int], cols: list[int]) -> Iterator[Move | None]:
+    """Each block rule's match, B1 to B5, None where it does not apply."""
     abc = _abc(rows, cols)
     yield _match_b1(rows, cols, abc)
     yield _match_b2(rows, cols, abc)
@@ -332,10 +333,17 @@ def _block_matches(t: Tableau) -> Iterator[Move | None]:
     yield _match_b5(rows, cols)
 
 
+def _block_rule(rows: list[int], cols: list[int]) -> Move | None:
+    """The unique block rule applying to the filling, if any.  The five
+    patterns are mutually exclusive."""
+    return next((mv for mv in _block_matches(rows, cols) if mv is not None), None)
+
+
 def block_rule(t: Tableau) -> Move | None:
-    """The unique block rule applying to t, if any.  The five patterns are
-    mutually exclusive."""
-    return next((mv for mv in _block_matches(t) if mv is not None), None)
+    """The unique block rule applying to t, if any."""
+    if not isinstance(t.shape, Partition):
+        raise ValueError("block rules are defined for straight shapes only")
+    return _block_rule(*_value_coordinates(t))
 
 
 # ---------------------------------------------------------------------------
@@ -540,24 +548,20 @@ def phi(t: Tableau) -> Tableau:
 
 
 def _ground(p: Partition) -> tuple[list[Tableau], list[int], tuple[Tableau, ...]]:
-    """The ground set sorted by maj, then by row reading word (the rows
-    bottom to top, a fixed reordering of the values), its majs, and the
-    extremes it leaves out."""
+    """The ground set sorted by maj, then by row reading word, its majs, and
+    the extremes it leaves out."""
     extremes = (minmaj_tableau(p), maxmaj_tableau(p)) if p.is_big_rectangle() else ()
     excl = {e.values for e in extremes}
-    starts = list(accumulate(p.parts, initial=0))
-    order = [i for r in reversed(range(len(p))) for i in range(starts[r], starts[r + 1])]
-    word = itemgetter(*order) if p.n > 1 else tuple  # itemgetter(i) returns no tuple
-    keyed = sorted((t.maj(), word(t.values), t)
+    keyed = sorted((t.maj(), t.row_reading_word(), t)
                    for t in enumerate_tableaux(p) if t.values not in excl)
     return [t for _, _, t in keyed], [maj for maj, _, _ in keyed], extremes
 
 
-def _forward_moves(t: Tableau) -> list[Move]:
-    """Positive rotations and the block rule at t: the strong step whose
-    transposed edges, on a self-conjugate shape, are all the others."""
-    mv = block_rule(t)
-    return positive_rotations(t) + ([mv] if mv else [])
+def _forward_moves(rows: list[int], cols: list[int]) -> list[Move]:
+    """The strong step: the positive rotations and the block rule of the
+    filling whose values sit at these rows and columns."""
+    mv = _block_rule(rows, cols)
+    return _positive_rotations(rows, cols) + ([mv] if mv else [])
 
 
 @dataclass(frozen=True)
@@ -599,83 +603,81 @@ class SytPoset:
 def build_poset(p: Partition, flavor: str) -> SytPoset:
     """The strong or weak order on the ground set of p.
 
-    Each order pairs a forward step with a transposed one: s covers t when
-    the step takes t to s, or takes s' to t'.  The weak step is phi.  The
-    strong forward step is every rotation and the block rule; its transposed
-    step is the block rule alone, which needs 2 at (1,2) of t', so it is
-    taken only where 1 is a descent of t.
+    Each order has one step, taken at t and at its transpose t': s covers t
+    when the step takes t to s, or takes s' to t'.  The strong step is the
+    positive rotations and the block rule; the weak step is phi, empty
+    where phi_move raises ExceptionalTableau.  Transposition complements the
+    descent set, so a positive rotation taken at t' and read back is a
+    negative rotation into t, and the block rule taken there is an
+    inverse-transpose block rule.  The strong step reads only each value's
+    row and column, so at t' it reads t's arrays swapped, and no tableau is
+    transposed.
 
     Every step is a value permutation, and permuting values commutes with
     transposition, so both steps land on permuted values of t itself, looked
     up by value tuple (see the module docstring).  A miss that is not an
     excluded extreme raises as Move.apply does, or as phi does in the weak
-    order, where every edge is also checked to raise maj by one.
+    order, where every edge is also checked to change maj by one.
 
-    When p is self-conjugate, t' is node tr[i] of the ground set, so each
-    forward edge (i, j) of the transposed step gives the edge (tr[j], tr[i]),
-    checked as its forward edge was, and no tableau is transposed.  A
-    negative rotation at t is a positive rotation at t' read back the same
-    way, so there the strong step is `_forward_moves` alone and every forward
-    edge is mirrored; other shapes add the negative rotations at each node.
+    When p is self-conjugate, t' is node tr[i] of the ground set, so the
+    step is taken at t alone and each of its edges (i, j) also gives the
+    edge (tr[j], tr[i]) of the step at t'.
     """
     ground, majs, extremes = _ground(p)
     index = {t.values: i for i, t in enumerate(ground)}
     outside = {e.values: e.maj() for e in extremes}
     conj, mirror = p.transpose_map
+    mirrored = conj == p
     if flavor == "strong":
         fault, check_maj = ValueError, False
-        step = _forward_moves if conj == p \
-            else lambda t: _forward_moves(t) + negative_rotations(t)
 
-        def transposed(t: Tableau) -> tuple[Tableau | None, list[Move]]:
-            if t.n < 2 or t.row_of(2) == 1:  # 1 is no descent
-                return None, []
-            u = t.transpose()
-            return u, [mv] if (mv := block_rule(u)) else []
+        def steps(t: Tableau) -> tuple[list[Move], list[Move]]:
+            rows, cols = _value_coordinates(t)
+            return _forward_moves(rows, cols), [] if mirrored else _forward_moves(cols, rows)
     elif flavor == "weak":
         fault, check_maj = PhiBranchError, True
-        exc = {e.values for e in _exceptional(p)}
-        exc_conj = {e.values for e in _exceptional(conj)}
 
-        def step(t: Tableau) -> list[Move]:
-            return [] if t.values in exc else [phi_move(t)]
+        def step(u: Tableau) -> list[Move]:
+            try:
+                return [phi_move(u)]
+            except ExceptionalTableau:
+                return []
 
-        def transposed(t: Tableau) -> tuple[Tableau | None, list[Move]]:
-            u = t.transpose()
-            return u, [] if u.values in exc_conj else [phi_move(u)]
+        def steps(t: Tableau) -> tuple[list[Move], list[Move]]:
+            return step(t), [] if mirrored else step(t.transpose())
     else:
         raise ValueError(f"unknown poset flavor {flavor!r}")
 
-    def land(i: int, mv: Move, source: Tableau, rise: int) -> int | None:
+    def land(i: int, mv: Move, rise: int) -> int | None:
         """Index of the node mv takes ground[i] to, None for an excluded
-        extreme.  `source` is the tableau the move acts on: ground[i]
-        (rise 1) or its transpose (rise -1), whose maj is C(n,2) less
-        ground[i]'s, so the move must change ground[i]'s maj by `rise`."""
+        extreme.  The move acts on ground[i] (rise 1) or on its transpose
+        (rise -1), whose maj is C(n,2) less ground[i]'s, so it must change
+        ground[i]'s maj by `rise`."""
         values = ground[i].values
         perm = mv.permutation()
         key = tuple(map(perm.get, values, values))
         j = index.get(key)
         maj = majs[j] if j is not None else outside.get(key)
+        if maj is not None and (not check_maj or rise * (maj - majs[i]) == 1):
+            return j
+        source = (ground[i] if rise > 0 else ground[i].transpose()).to_text()
         if maj is None:
-            raise fault(f"{mv} broke standardness on {source.to_text()}")
-        if check_maj and rise * (maj - majs[i]) != 1:
-            raise fault(f"{mv} changed maj by {rise * (maj - majs[i])} on {source.to_text()}")
-        return j
+            raise fault(f"{mv} broke standardness on {source}")
+        raise fault(f"{mv} changed maj by {rise * (maj - majs[i])} on {source}")
 
     flip = itemgetter(*mirror) if p.n > 1 else tuple
-    tr = [index[flip(t.values)] for t in ground] if conj == p else None
+    tr = [index[flip(t.values)] for t in ground] if mirrored else []
     edges: set[tuple[int, int]] = set()
     for i, t in enumerate(ground):
-        for mv in step(t):
-            if (j := land(i, mv, t, 1)) is not None:
+        up, down = steps(t)
+        for mv in up:
+            if (j := land(i, mv, 1)) is not None:
                 edges.add((i, j))
-                if tr is not None:
+                if mirrored:
                     edges.add((tr[j], tr[i]))
-        if tr is None:
-            u, moves = transposed(t)
-            for mv in moves:
-                if (j := land(i, mv, u, -1)) is not None:
-                    edges.add((j, i))
+        for mv in down:
+            if (j := land(i, mv, -1)) is not None:
+                edges.add((j, i))
     covers: list[list[int]] = [[] for _ in ground]
     for i, j in sorted(edges):
         covers[i].append(j)

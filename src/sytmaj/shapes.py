@@ -25,6 +25,13 @@ class _Cells:
         return {cell: i for i, cell in enumerate(self.cells)}
 
     @cached_property
+    def reading_order(self) -> tuple[int, ...]:
+        """Cell indices in row reading order: rows bottom to top, each left
+        to right."""
+        cells = self.cells
+        return tuple(sorted(range(len(cells)), key=lambda i: (-cells[i][0], cells[i][1])))
+
+    @cached_property
     def neighbours(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Indices of the cells north and west of each cell, -1 if absent."""
         index = self.cell_index

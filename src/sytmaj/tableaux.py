@@ -82,8 +82,7 @@ class Tableau:
 
     def row_reading_word(self) -> tuple[int, ...]:
         """Rows bottom to top, each left to right."""
-        rows = self.rows()
-        return tuple(v for row in reversed(rows) for v in row)
+        return tuple(map(self.values.__getitem__, self.shape.reading_order))
 
     def descent_set(self) -> frozenset[int]:
         """Values i with i+1 in a strictly lower (absolute) row."""

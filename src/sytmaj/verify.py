@@ -26,8 +26,9 @@ shape with one nonempty block reads that partition's table.  One run of the
 `stanley`, `support-a` and `des` suites builds 271 tables, one per
 partition up to 12 cells, and `gmdn` then adds 212, 483 in all.  With
 --threads > 1 each worker process fills its own tables.  `strong_covers`
-finds one tableau's strong covers by trying every candidate block move, for
-the poset suite to compare with `build_poset`'s.
+finds one tableau's strong covers at the tableau itself, scanning its
+negative rotations and trying every candidate block move, for the poset
+suite to compare with `build_poset`'s.
 
 The suites are the rows of one table, `SUITES`.  A bounded row gives its
 default size bounds, its case generator and its per-case checks; one runner
@@ -59,11 +60,11 @@ from .mutations import (
     _b3_move,
     _b4_move,
     _b5_move,
-    _forward_moves,
     block_rule,
     build_poset,
     negative_rotations,
     phi,
+    positive_rotations,
     verify_ranked,
 )
 from .qpolys import (
@@ -87,7 +88,6 @@ from .shapes import (
     b_statistic,
     hook_lengths,
     parse_blocks,
-    parse_partition,
     partitions,
 )
 from .tableaux import (
@@ -526,12 +526,15 @@ def inverse_transpose_block_moves(t: Tableau) -> list[Move]:
 def strong_covers(t: Tableau) -> list[Tableau]:
     """Upper covers of t in the strong order: rotations, block rules, and
     inverse-transpose block rules, kept inside the ground set.  Every move is
-    searched at t itself: the negative rotations are scanned here even on a
-    self-conjugate shape, where `build_poset` reads them off the transpose."""
+    searched at t itself: the negative rotations are scanned here, where
+    `build_poset` reads them off the positive rotations at the transpose,
+    and the inverse-transpose block rules are found among every candidate
+    block move, where `build_poset` takes the block rule at the transpose."""
     p = t.shape
     excl = {minmaj_tableau(p), maxmaj_tableau(p)} if p.is_big_rectangle() else set()
-    moves = _forward_moves(t) + negative_rotations(t) + inverse_transpose_block_moves(t)
-    out = {mv.apply(t) for mv in moves}
+    moves = (positive_rotations(t) + negative_rotations(t) + [block_rule(t)]
+             + inverse_transpose_block_moves(t))
+    out = {mv.apply(t) for mv in moves if mv is not None}
     return sorted(out - excl, key=lambda y: y.row_reading_word())
 
 
@@ -556,40 +559,36 @@ def block_shapes(n: int, m: int) -> Iterator[BlockShape]:
 # per-shape workers (module level so process pools can pickle them)
 
 
-def _check_stanley(shape_str: str) -> tuple[str, bool, str]:
-    p = parse_partition(shape_str)
+def _check_stanley(p: Partition) -> tuple[str, bool, str]:
     got = expand(stanley(p))
     want = maj_gf_oracle(p)
-    return shape_str, got == want, "" if got == want else f"{got!r} != {want!r}"
+    return str(p), got == want, "" if got == want else f"{got!r} != {want!r}"
 
 
-def _check_support_a(shape_str: str) -> tuple[str, bool, str]:
-    p = parse_partition(shape_str)
+def _check_support_a(p: Partition) -> tuple[str, bool, str]:
     pred = support_type_A(p)
-    report = verify_support(pred, maj_gf_oracle(p), shape_str)
+    report = verify_support(pred, maj_gf_oracle(p), str(p))
     excl_ok = (
         pred.excluded
         == (frozenset({b_statistic(p) + 1, comb(p.n, 2) - b_statistic(p.conjugate()) - 1})
            if p.is_big_rectangle() else frozenset())
     )
     ok = report.equal and excl_ok
-    return shape_str, ok, "" if ok else report.to_json_str()
+    return str(p), ok, "" if ok else report.to_json_str()
 
 
-def _check_phi(shape_str: str) -> tuple[str, bool, str]:
-    p = parse_partition(shape_str)
+def _check_phi(p: Partition) -> tuple[str, bool, str]:
     exc = exceptional_set(p)
     for t in enumerate_tableaux(p):
         if t in exc:
             continue
         y = phi(t)  # raises PhiBranchError on any gap
         if y.maj() != t.maj() + 1 or y.shape != p:
-            return shape_str, False, f"bad image for {t.to_text()}"
-    return shape_str, True, ""
+            return str(p), False, f"bad image for {t.to_text()}"
+    return str(p), True, ""
 
 
-def _check_poset(shape_str: str) -> tuple[str, bool, str]:
-    p = parse_partition(shape_str)
+def _check_poset(p: Partition) -> tuple[str, bool, str]:
     problems = []
     strong = build_poset(p, "strong")
     weak = build_poset(p, "weak")
@@ -604,34 +603,31 @@ def _check_poset(shape_str: str) -> tuple[str, bool, str]:
            if sorted(index[y.values] for y in strong_covers(t)) != list(ups)]
     if bad:
         problems.append(f"strong covers differ from the candidate search at {bad[:3]}")
-    return shape_str, not problems, "; ".join(problems)
+    return str(p), not problems, "; ".join(problems)
 
 
-def _check_des(shape_str: str) -> tuple[str, bool, str]:
-    p = parse_partition(shape_str)
+def _check_des(p: Partition) -> tuple[str, bool, str]:
     want = support_des(p).degrees
     actual = set(des_gf_oracle(p).support())
     ok = actual == want
-    return shape_str, ok, "" if ok else f"des support {sorted(actual)} != {sorted(want)}"
+    return str(p), ok, "" if ok else f"des support {sorted(actual)} != {sorted(want)}"
 
 
-def _check_majdes(shape_str: str) -> tuple[str, bool, str]:
-    p = parse_partition(shape_str)
+def _check_majdes(p: Partition) -> tuple[str, bool, str]:
     vals = majdes_values_oracle(p)
     ok = vals == set(range(min(vals), max(vals) + 1))
-    return shape_str, ok, "" if ok else f"maj-des gap: {sorted(vals)}"
+    return str(p), ok, "" if ok else f"maj-des gap: {sorted(vals)}"
 
 
-def _check_gmdn_block(arg: tuple[str, int, int]) -> tuple[str, bool, str]:
-    shape_str, m, d = arg
-    blocks = parse_blocks(shape_str)
-    name = f"{shape_str} m={m} d={d}"
+def _check_gmdn_block(arg: tuple[BlockShape, int, int]) -> tuple[str, bool, str]:
+    blocks, m, d = arg
+    name = f"{blocks} m={m} d={d}"
     got = gmdn_fake_degree(blocks, m, d)
     want = gmdn_gf_oracle(blocks, m, d)
     if got != want:
         return name, False, f"{got!r} != {want!r}"
     if blocks.n >= 1:
-        rep = verify_support(support_gmdn(blocks, m, d), got, shape_str)
+        rep = verify_support(support_gmdn(blocks, m, d), got, str(blocks))
         if not rep.equal:
             return name, False, rep.to_json_str()
     return name, True, ""
@@ -659,9 +655,8 @@ def _check_composition(alpha: tuple[int, ...]) -> tuple[int, list[tuple[str, boo
     return checked, bad
 
 
-def _check_bipartition(shape_str: str) -> tuple[int, list[tuple[str, bool, str]]]:
+def _check_bipartition(blocks: BlockShape) -> tuple[int, list[tuple[str, bool, str]]]:
     """The type B and type D fake degrees of lam|mu against their products."""
-    blocks = parse_blocks(shape_str)
     lam, mu = blocks.blocks
     okb = type_b_closed_form(lam, mu) == wreath_fake_degree(blocks, 2)
     okd = type_d_closed_form(lam, mu) == gmdn_fake_degree(blocks, 2, 2)
@@ -684,22 +679,18 @@ def _shapes(max_n: int) -> list[Partition]:
     return [p for n in range(1, max_n + 1) for p in partitions(n)]
 
 
-def _shape_strings(max_n: int) -> list[str]:
-    return [str(p) for p in _shapes(max_n)]
-
-
 def _compositions(max_n: int, max_m: int) -> list[tuple[int, ...]]:
     return [alpha for n in range(1, max_n + 1) for m in range(1, max_m + 1)
             for alpha in weak_compositions(n, m)]
 
 
-def _gmdn_cases(max_n: int, max_m: int) -> list[tuple[str, int, int]]:
-    return [(str(blocks), m, d) for n in range(1, max_n + 1) for m in range(1, max_m + 1)
+def _gmdn_cases(max_n: int, max_m: int) -> list[tuple[BlockShape, int, int]]:
+    return [(blocks, m, d) for n in range(1, max_n + 1) for m in range(1, max_m + 1)
             for d in range(1, m + 1) if m % d == 0 for blocks in block_shapes(n, m)]
 
 
-def _bipartitions(max_n: int) -> list[str]:
-    return [f"{lam}|{mu}" for n in range(1, max_n + 1) for k in range(n + 1)
+def _bipartitions(max_n: int) -> list[BlockShape]:
+    return [BlockShape((lam, mu)) for n in range(1, max_n + 1) for k in range(n + 1)
             for lam in partitions(k) for mu in partitions(n - k)]
 
 
@@ -836,11 +827,11 @@ class Suite:
 
 
 SUITES: dict[str, Suite] = {
-    "stanley": Suite(_shape_strings, ((_check_stanley, 12),)),
-    "support-a": Suite(_shape_strings, ((_check_support_a, 12),)),
-    "phi": Suite(_shape_strings, ((_check_phi, 9),)),
-    "poset": Suite(_shape_strings, ((_check_poset, 8),)),
-    "des": Suite(_shape_strings, ((_check_des, 12), (_check_majdes, 10))),
+    "stanley": Suite(_shapes, ((_check_stanley, 12),)),
+    "support-a": Suite(_shapes, ((_check_support_a, 12),)),
+    "phi": Suite(_shapes, ((_check_phi, 9),)),
+    "poset": Suite(_shapes, ((_check_poset, 8),)),
+    "des": Suite(_shapes, ((_check_des, 12), (_check_majdes, 10))),
     "regression": Suite(_regression_checks),
     "deformed": Suite(partial(_compositions, max_m=6), ((_check_composition, 8),),
                       "deformed checks"),

@@ -143,7 +143,8 @@ def test_rotations_on_skew_shapes():
 
 def block_rule_all(t):
     """All matching block rules (for the disjointness check)."""
-    return [mv for mv in mutations._block_matches(t) if mv is not None]
+    return [mv for mv in mutations._block_matches(*mutations._value_coordinates(t))
+            if mv is not None]
 
 
 def inverse_block_rule(v):
@@ -402,38 +403,35 @@ def test_self_conjugate_poset_dots_golden_n10_to_n12():
 
 
 def explicit_edges(p, flavor):
-    """Both steps taken literally on a shape's ground set: the forward step
-    at each node t, and the transposed step at t' read back onto t.  The
-    forward edges come split into those whose move the transposed step
-    also takes (the block rule, or phi) and the rest, the positive and the
-    negative rotations."""
+    """The step taken literally, through the public functions on Tableau
+    objects: at each node t of a shape's ground set, and at t' read back
+    onto t.  Besides the edges of both, it returns, for the strong order,
+    the edges of the negative rotations at t and those of the positive
+    rotations at t' read back."""
     ground = mutations._ground(p)[0]
     index = {t.values: i for i, t in enumerate(ground)}
-    exc, exc_conj = exceptional_set(p), exceptional_set(p.conjugate())
+    exc = exceptional_set(p) | exceptional_set(p.conjugate())
 
-    def step(t, excluded):
+    def step(u):
         if flavor == "strong":
-            return [mv] if (mv := block_rule(t)) else []
-        return [] if t in excluded else [phi_move(t)]
+            return positive_rotations(u) + ([mv] if (mv := block_rule(u)) else [])
+        return [] if u in exc else [phi_move(u)]
 
-    def lands(t, mv):
-        perm = mv.permutation()
-        return index.get(tuple(perm.get(v, v) for v in t.values))
+    def lands(t, moves):
+        for mv in moves:
+            perm = mv.permutation()
+            if (j := index.get(tuple(perm.get(v, v) for v in t.values))) is not None:
+                yield j
 
-    shared, positives, negatives, transposed = set(), set(), set(), set()
+    forward, transposed, negatives, read_back = set(), set(), set(), set()
     for i, t in enumerate(ground):
-        for mv in step(t, exc):
-            if (j := lands(t, mv)) is not None:
-                shared.add((i, j))
+        u = t.transpose()
+        forward |= {(i, j) for j in lands(t, step(t))}
+        transposed |= {(j, i) for j in lands(t, step(u))}
         if flavor == "strong":
-            positives |= {(i, j) for mv in positive_rotations(t)
-                          if (j := lands(t, mv)) is not None}
-            negatives |= {(i, j) for mv in negative_rotations(t)
-                          if (j := lands(t, mv)) is not None}
-        for mv in step(t.transpose(), exc_conj):
-            if (j := lands(t, mv)) is not None:
-                transposed.add((j, i))
-    return ground, index, shared, positives, negatives, transposed
+            negatives |= {(i, j) for j in lands(t, negative_rotations(t))}
+            read_back |= {(j, i) for j in lands(t, positive_rotations(u))}
+    return ground, index, forward, transposed, negatives, read_back
 
 
 @pytest.mark.parametrize("flavor", ["strong", "weak"])
@@ -441,30 +439,50 @@ def test_self_conjugate_transposed_edges_mirror_forward_edges(flavor):
     shapes = [p for n in range(11) for p in partitions(n) if p.conjugate() == p]
     assert len(shapes) == 13
     for p in shapes:
-        ground, index, shared, positives, negatives, transposed = explicit_edges(p, flavor)
+        ground, index, forward, transposed, negatives, read_back = explicit_edges(p, flavor)
         tr = [index[t.transpose().values] for t in ground]
-        assert transposed == {(tr[j], tr[i]) for i, j in shared}, (p, flavor)
-        # the negative-rotation edges are the positive ones read back
-        # through the transpose, so the strong order scans only the latter
-        assert negatives == {(tr[j], tr[i]) for i, j in positives}, (p, flavor)
-        assert build_poset(p, flavor).edge_pairs() == \
-            shared | positives | negatives | transposed, (p, flavor)
+        assert transposed == {(tr[j], tr[i]) for i, j in forward}, (p, flavor)
+        assert negatives == read_back, (p, flavor)
+        assert build_poset(p, flavor).edge_pairs() == forward | transposed, (p, flavor)
 
 
-def test_strong_posets_scan_negative_rotations_off_self_conjugate_shapes(monkeypatch):
+@pytest.mark.parametrize("flavor", ["strong", "weak"])
+def test_posets_take_one_step_at_t_and_at_its_transpose(flavor):
+    # The shapes whose posets take the step at t' itself, not by a mirror.
+    shapes = [p for n in range(10) for p in partitions(n) if p.conjugate() != p]
+    assert len(shapes) == 86
+    for p in shapes:
+        _, _, forward, transposed, negatives, read_back = explicit_edges(p, flavor)
+        # a positive rotation at t' read back is a negative rotation into t
+        assert negatives == read_back, (p, flavor)
+        assert build_poset(p, flavor).edge_pairs() == forward | transposed, (p, flavor)
+
+
+def spy_calls(monkeypatch, calls, owner, names):
+    """Count the calls of each named attribute of owner in calls."""
+    for name in names:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real, name=name:
+                            calls.update([name]) or real(*args))
+
+
+def test_strong_posets_read_rows_and_columns_only(monkeypatch):
     calls = Counter()
-    for name in ("_positive_rotations", "_negative_rotations"):
-        real = getattr(mutations, name)
-        monkeypatch.setattr(mutations, name, lambda rows, cols, real=real, name=name:
-                            calls.update([name]) or real(rows, cols))
-    # self-conjugate: the negative rotations are the mirrored positive ones
+    spy_calls(monkeypatch, calls, mutations, ("_value_coordinates", "_positive_rotations",
+                                              "_negative_rotations", "_block_rule"))
+    spy_calls(monkeypatch, calls, Tableau, ("transpose",))
+    # self-conjugate: the step at t alone, its edges mirrored
     poset = build_poset(parse_partition("4,3,2,1"), "strong")
-    assert calls == {"_positive_rotations": len(poset.elements)}
+    nodes = len(poset.elements)
+    assert calls == {"_value_coordinates": nodes, "_positive_rotations": nodes,
+                     "_block_rule": nodes}
+    # otherwise the step again at t', on the same arrays swapped: no negative
+    # scan and no transposed tableau
     calls.clear()
-    # otherwise each node also scans its anti-transposed filling
     poset = build_poset(parse_partition("5,2,2,1"), "strong")
-    assert calls == {"_positive_rotations": 2 * len(poset.elements),
-                     "_negative_rotations": len(poset.elements)}
+    nodes = len(poset.elements)
+    assert calls == {"_value_coordinates": nodes, "_positive_rotations": 2 * nodes,
+                     "_block_rule": 2 * nodes}
 
 
 @pytest.mark.parametrize("shape", ["3,2,1", "4,2,1", "3,3"])
@@ -482,23 +500,19 @@ def test_strong_covers_oracle_scans_negative_rotations(shape):
 
 def test_posets_take_each_step_once(monkeypatch):
     calls = Counter()
-    for name in ("block_rule", "phi_move"):
-        real = getattr(mutations, name)
-        monkeypatch.setattr(mutations, name,
-                            lambda t, real=real, name=name: calls.update([name]) or real(t))
-    transpose = Tableau.transpose
-    monkeypatch.setattr(Tableau, "transpose",
-                        lambda t: calls.update(["transpose"]) or transpose(t))
+    spy_calls(monkeypatch, calls, mutations, ("_forward_moves", "phi_move"))
+    spy_calls(monkeypatch, calls, Tableau, ("transpose",))
     # self-conjugate: one step per node, and no tableau is transposed
     p = parse_partition("4,3,2,1")
     strong, weak = build_poset(p, "strong"), build_poset(p, "weak")
-    assert calls == {"block_rule": len(strong.elements),
-                     "phi_move": len(weak.elements) - len(exceptional_set(p))}
-    # otherwise the strong order transposes only where 1 is a descent
+    assert calls == {"_forward_moves": len(strong.elements), "phi_move": len(weak.elements)}
+    # otherwise the step at t and at t'; only phi needs t' as a tableau
     calls.clear()
-    strong = build_poset(parse_partition("5,2,2,1"), "strong")
-    ones = sum(1 for t in strong.elements if 1 in t.descent_set())
-    assert calls == {"block_rule": len(strong.elements) + ones, "transpose": ones}
+    p = parse_partition("5,2,2,1")
+    strong, weak = build_poset(p, "strong"), build_poset(p, "weak")
+    nodes = len(weak.elements)
+    assert calls == {"_forward_moves": 2 * len(strong.elements),
+                     "phi_move": 2 * nodes, "transpose": nodes}
 
 
 def test_empty_shape_poset_has_one_node():
@@ -563,12 +577,24 @@ IDENTITY = Move("B1", ())
 
 
 @pytest.mark.parametrize("shape", ["3,2,1", "3,3"])
-@pytest.mark.parametrize("target", ["_forward_moves", "block_rule"])
+@pytest.mark.parametrize("target", ["_forward_moves", "_block_rule"])
 def test_strong_poset_raises_on_nonstandard_move(monkeypatch, shape, target):
-    fake = (lambda t: [SWAP_1_2]) if target == "_forward_moves" else (lambda t: SWAP_1_2)
+    fake = (lambda rows, cols: [SWAP_1_2]) if target == "_forward_moves" \
+        else (lambda rows, cols: SWAP_1_2)
     monkeypatch.setattr(mutations, target, fake)
     with pytest.raises(ValueError, match="broke standardness"):
         build_poset(parse_partition(shape), "strong")
+
+
+def test_strong_poset_checks_moves_at_the_transpose(monkeypatch):
+    # The step is right on the fillings of 4,2, whose values sit in rows 1
+    # and 2, and wrong on those of its conjugate, so only the step at t'
+    # can raise, and the error names t'.
+    real = mutations._forward_moves
+    monkeypatch.setattr(mutations, "_forward_moves",
+                        lambda rows, cols: real(rows, cols) if max(rows) <= 2 else [SWAP_1_2])
+    with pytest.raises(ValueError, match=r"broke standardness on 1,\d/2,\d/"):
+        build_poset(parse_partition("4,2"), "strong")
 
 
 @pytest.mark.parametrize("shape", ["3,2,1", "3,3"])

@@ -105,7 +105,7 @@ def test_fillings_match_walk():
         assert _fillings(shape, len(top)) == walk_fillings(shape, top), (str(shape), top)
 
 
-def _gmdn_suite_cases() -> list[tuple[str, int, int]]:
+def _gmdn_suite_cases() -> list[tuple[BlockShape, int, int]]:
     """The cases of the `gmdn` suite at its default bound."""
     suite = V.SUITES["gmdn"]
     [(_, max_n)] = suite.checks
@@ -115,8 +115,8 @@ def _gmdn_suite_cases() -> list[tuple[str, int, int]]:
 def test_shared_corner_table_matches_each_orbit_member():
     cases = _gmdn_suite_cases()
     assert cases == V._gmdn_cases(6, 4)
-    for shape_str, m, d in cases:
-        for mu in parse_blocks(shape_str).orbit(d):
+    for blocks, m, d in cases:
+        for mu in blocks.orbit(d):
             # the corner table of mu is keyed by its nonempty blocks
             blocks = tuple(b for b in mu.blocks if b)
             key_shape = blocks[0] if len(blocks) == 1 else BlockShape(blocks)
@@ -127,7 +127,7 @@ def test_shared_corner_table_matches_each_orbit_member():
 
 def test_gmdn_suite_peels_each_block_sequence_once(monkeypatch):
     keys = {tuple(b for b in mu.blocks if b)
-            for shape_str, _, d in _gmdn_suite_cases() for mu in parse_blocks(shape_str).orbit(d)}
+            for blocks, _, d in _gmdn_suite_cases() for mu in blocks.orbit(d)}
     peeled = []
     peel = V._corner_counts
 
@@ -160,7 +160,7 @@ def test_type_a_suites_peel_each_partition_once(monkeypatch):
     rows, ok = V.run_suites(["stanley", "support-a", "des"], threads=1)
     assert ok and [r.name for r in rows] == ["271 checks", "271 checks", "409 checks"]
     # one table per partition up to 12 cells, shared by the four oracles
-    assert sorted(map(str, peeled)) == sorted(V._shape_strings(12))
+    assert sorted(map(str, peeled)) == sorted(map(str, V._shapes(12)))
     # a block shape whose only nonempty block is a partition reads its table
     lam = Partition((4, 3, 1))
     for mu in (BlockShape((lam,)), BlockShape((Partition(), lam, Partition()))):
@@ -183,7 +183,7 @@ def test_a_warm_corner_table_does_not_hide_a_fault(monkeypatch):
     assert [r.name for r in rows] == [f"{s} m={m} d={d}" for s, m, d in cases]
     # the type-A suites read the same table
     V._corner_table.cache_clear()
-    shapes = V._shape_strings(5)
+    shapes = [str(p) for p in V._shapes(5)]
     assert V.run_suites(["stanley"], max_n=5, threads=1) == (
         [V.CheckResult("stanley", f"{len(shapes)} checks", True)], True)
     assert V._corner_table.cache_info().currsize == len(shapes)
