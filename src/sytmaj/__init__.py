@@ -26,7 +26,6 @@ from .qpolys import (
     BinomialForm,
     NonzeroRemainder,
     QPoly,
-    divide_exact,
     divide_exact_int,
     expand,
     q_binomial,
@@ -90,9 +89,9 @@ __all__ = [
     "b_statistic", "block_coordinates", "corners_and_notches", "hook_lengths",
     "hook_multiset", "parse_blocks", "parse_partition", "partitions",
     # qpolys
-    "BinomialForm", "NonzeroRemainder", "QPoly", "divide_exact",
-    "divide_exact_int", "expand", "q_binomial", "q_factorial", "q_int",
-    "q_multinomial", "shape_predicates", "substitute_power",
+    "BinomialForm", "NonzeroRemainder", "QPoly", "divide_exact_int",
+    "expand", "q_binomial", "q_factorial", "q_int", "q_multinomial",
+    "shape_predicates", "substitute_power",
     # tableaux
     "BoundExceeded", "ShapeNotOneRowBlocks", "Tableau",
     "canonical_orbit_tableaux", "enumerate_tableaux", "exceptional_set",

@@ -14,7 +14,6 @@ Compositions are 1-based: b(alpha) = sum (i-1) alpha_i.
 """
 from __future__ import annotations
 
-from collections import Counter
 from operator import add
 
 from .qpolys import BinomialForm, QPoly, expand, multinomial_exponents
@@ -59,13 +58,13 @@ def partial_sum_multinomial(alpha, k: int) -> QPoly:
 
 def _rotation_sum(alpha: tuple[int, ...], d: int, form: BinomialForm) -> QPoly:
     """Sum over the d rotations beta of alpha of q**(b(beta) + m*s) times
-    the map E of `form` = (s, E) times [A(beta)]/[n], all at q**m, where
-    A(beta) is the sum of the first m/d entries of beta; 1 when n = 0.
+    the exponents E of `form` = (s, E) times [A(beta)]/[n], all at q**m,
+    where A(beta) is the sum of the first m/d entries of beta; 1 when n = 0.
 
-    E holds [n; alpha] (times the hook products of a block shape), and
-    [n; beta] = [n; alpha], so each rotation adds [A(beta)]/[n] to a copy
-    of the one shared map.  Each form is expanded at q, and its
-    coefficients are added into the sum at stride m.
+    E, a list indexed by d, holds [n; alpha] (times the hook products of a
+    block shape), and [n; beta] = [n; alpha], so each rotation adds
+    [A(beta)]/[n] to a copy of the one shared list.  Each form is expanded
+    at q, and its coefficients are added into the sum at stride m.
     """
     m = len(alpha)
     rotations = rotation_class(alpha, d)
@@ -77,7 +76,7 @@ def _rotation_sum(alpha: tuple[int, ...], d: int, form: BinomialForm) -> QPoly:
     for beta in rotations:
         a = sum(beta[: m // d])
         if a:
-            exps = Counter(common)
+            exps = list(common)
             exps[a] += 1
             exps[n] -= 1
             terms.append((b_composition(beta) + m * shift, expand(BinomialForm(0, exps)).coeffs))

@@ -10,7 +10,6 @@ are oracles in `verify`.
 """
 from __future__ import annotations
 
-from collections import Counter
 from math import factorial
 
 from .deformed import _rotation_sum, rotation_class
@@ -21,15 +20,16 @@ from .shapes import BlockShape, Partition, b_statistic, hook_multiset
 def stanley(shape: Partition | BlockShape) -> BinomialForm:
     """q**b [n]_q! / prod [h_c]_q over the cells of a partition, or of every
     block of a block shape with b the sum of the blocks' b(lambda), as a
-    binomial form: the (q - 1) powers cancel, leaving e_d = [d <= n] -
-    #{cells with hook length d}.  For blocks this is [n; alpha] times the
-    blocks' products, since each block's [d <= alpha_i] cancels the
-    multinomial's -[d <= alpha_i]."""
+    binomial form: the (q - 1) powers cancel, leaving the list indexed by d
+    of e_d = [d <= n] - #{cells with hook length d}.  For blocks this is
+    [n; alpha] times the blocks' products, since each block's
+    [d <= alpha_i] cancels the multinomial's -[d <= alpha_i]."""
     if isinstance(shape, Partition) and not shape:
         raise ValueError("shape must be nonempty")
     blocks = shape.blocks if isinstance(shape, BlockShape) else (shape,)
-    exps = Counter(range(1, shape.n + 1))
-    exps.subtract(h for b in blocks for h in hook_multiset(b))
+    exps = [0] + [1] * shape.n
+    for h in (h for b in blocks for h in hook_multiset(b)):
+        exps[h] -= 1
     return BinomialForm(sum(map(b_statistic, blocks)), exps)
 
 

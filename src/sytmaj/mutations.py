@@ -116,7 +116,8 @@ def _in_rect(rows: list[int], cols: list[int], v: int, a: int, b: int) -> bool:
     return (ra <= r <= rb or rb <= r <= ra) and (ca <= c <= cb or cb <= c <= ca)
 
 
-def _positive_rotations(rows: list[int], cols: list[int]) -> list[Move]:
+def _positive_rotations(rows: list[int], cols: list[int]) -> list[tuple[int, int, int]]:
+    """(i, k, j): interval [i, k] and moving descent j of each positive rotation."""
     n = len(rows) - 2
     moves = []
     for j in range(2, n + 1):
@@ -148,39 +149,39 @@ def _positive_rotations(rows: list[int], cols: list[int]) -> list[Move]:
                         continue
                 elif not _in_rect(rows, cols, i - 1, i, k):
                     continue
-                moves.append(_positive_move(i, k, j))
+                moves.append((i, k, j))
     return moves
 
 
-def _negative_rotations(rows: list[int], cols: list[int]) -> list[Move]:
+def _negative_rotations(rows: list[int], cols: list[int]) -> list[tuple[int, int, int]]:
     """The positive scan on the anti-transposed filling, where value v
     becomes n+1-v and cell (r, c) becomes (-c, -r); the sentinel 0 stays 0.
     Its forward cycle on [i, k] at descent j is the backward cycle on
     [n+1-k, n+1-i] at descent n+1-j here."""
     m = len(rows) - 1  # n + 1
     mirrored = _positive_rotations([-c for c in reversed(cols)], [-r for r in reversed(rows)])
-    return [_negative_move(m - mv.interval[1], m - mv.interval[0], m - mv.descent)
-            for mv in mirrored]
+    return [(m - k, m - i, m - j) for i, k, j in mirrored]
 
 
 def positive_rotations(t: Tableau) -> list[Move]:
     """All intervals whose forward cycle raises maj by one: the moving
     descent j slides from j-1, with horizontal strips on both sides and
     bounding-rectangle conditions at the ends."""
-    return _positive_rotations(*_value_coordinates(t))
+    return [_positive_move(*r) for r in _positive_rotations(*_value_coordinates(t))]
 
 
 def negative_rotations(t: Tableau) -> list[Move]:
     """All intervals whose backward cycle raises maj by one: the positive
     conditions on the anti-transposed filling, so with vertical strips on
     both sides."""
-    return _negative_rotations(*_value_coordinates(t))
+    return [_negative_move(*r) for r in _negative_rotations(*_value_coordinates(t))]
 
 
 def _find_rotation(rows: list[int], cols: list[int], i: int, k: int) -> Move | None:
-    for mv in _positive_rotations(rows, cols) + _negative_rotations(rows, cols):
-        if mv.interval == (i, k):
-            return mv
+    for scan, move in (_positive_rotations, _positive_move), (_negative_rotations, _negative_move):
+        for r in scan(rows, cols):
+            if r[:2] == (i, k):
+                return move(*r)
     return None
 
 
@@ -561,7 +562,7 @@ def _forward_moves(rows: list[int], cols: list[int]) -> list[Move]:
     """The strong step: the positive rotations and the block rule of the
     filling whose values sit at these rows and columns."""
     mv = _block_rule(rows, cols)
-    return _positive_rotations(rows, cols) + ([mv] if mv else [])
+    return [_positive_move(*r) for r in _positive_rotations(rows, cols)] + ([mv] if mv else [])
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,21 @@
 """Exact polynomial arithmetic in q with arbitrary-precision integers.
 
 QPoly is a dense coefficient vector plus a degree offset.  Every closed form
-in the package is a BinomialForm q**s * prod_d (q**d - 1)**e_d, held as the
-map d -> e_d: a product adds maps.  A form at q**m is expanded at q, and its
-coefficients are placed at stride m by the caller.  A q-hook-length product
-is e_d = [d <= n] - #{cells with hook length d}.  expand is the one kernel
-that expands such a map.  The forms are palindromic, so it computes the
-lower half of the coefficients as a truncated power series and mirrors it.
+in the package is a BinomialForm q**s * prod_d (q**d - 1)**e_d, with e_d in a
+list indexed by d whose entry 0 is 0: a product adds lists.  A form at q**m is
+expanded at q, and its coefficients are placed at stride m by the caller.  A
+q-hook-length product has e_d = [d <= n] - #{cells with hook length d}, and
+expand is the one kernel for such lists.  The forms are palindromic, so it
+computes the lower half as a truncated power series and mirrors it.
 """
 from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import prod
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class NonzeroRemainder(ArithmeticError):
@@ -183,35 +182,6 @@ def substitute_power(p: QPoly, m: int) -> QPoly:
     return QPoly(p.offset * m, out)
 
 
-def divide_exact(num: QPoly, den: QPoly) -> QPoly:
-    """Quotient num/den when the division is exact, else NonzeroRemainder."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero():
-        return QPoly.zero()
-    if num.offset < den.offset:
-        raise NonzeroRemainder(f"offset {num.offset} < {den.offset}")
-    rem = list(num.coeffs)
-    d = list(den.coeffs)
-    dlead = d[-1]
-    qlen = len(rem) - len(d) + 1
-    if qlen <= 0:
-        raise NonzeroRemainder("numerator degree below denominator degree")
-    quot = [0] * qlen
-    for i in range(qlen - 1, -1, -1):
-        top = rem[i + len(d) - 1]
-        if top % dlead:
-            raise NonzeroRemainder(f"leading coefficient {top} not divisible by {dlead}")
-        f = top // dlead
-        quot[i] = f
-        if f:
-            for j, dj in enumerate(d):
-                rem[i + j] -= f * dj
-    if any(rem):
-        raise NonzeroRemainder("nonzero remainder")
-    return QPoly(num.offset - den.offset, quot)
-
-
 def divide_exact_int(p: QPoly, k: int) -> QPoly:
     """Divide every coefficient by the integer k exactly."""
     if k == 0:
@@ -226,14 +196,14 @@ def divide_exact_int(p: QPoly, k: int) -> QPoly:
 
 
 class BinomialForm(NamedTuple):
-    """q**shift * prod_d (q**d - 1)**exponents[d]; exponents may be negative."""
+    """q**shift * prod_d (q**d - 1)**e_d, exponents[d] = e_d (any sign; e_0 = 0)."""
 
     shift: int
-    exponents: Mapping[int, int]
+    exponents: list[int]
 
 
 def expand(form: BinomialForm) -> QPoly:
-    """Expand q**shift * prod_d (q**d - 1)**e_d, given the map d -> e_d.
+    """Expand q**shift * prod_d (q**d - 1)**e_d, e_d in a list indexed by d.
 
     With E = sum e_d and L = sum d*e_d the product is (-1)**E times
     P(q) = prod (1 - q**d)**e_d, and q**L P(1/q) = (-1)**E P(q).  So only
@@ -246,12 +216,12 @@ def expand(form: BinomialForm) -> QPoly:
 
     The truncation cannot see a remainder, so the result is checked at
     q = 1 against prod d**e_d (E = 0) or 0 (E > 0); NonzeroRemainder when
-    the map is not a polynomial.
+    the list is not a polynomial.  ValueError when e_0 is not 0.
     """
     shift, exponents = form
-    exps = sorted((d, e) for d, e in exponents.items() if e)
-    if any(d < 1 for d, _ in exps):
-        raise ValueError(f"binomial-form indices must be >= 1: {exponents}")
+    if not exponents or exponents[0]:
+        raise ValueError(f"binomial-form exponent e_0 must be 0: {exponents}")
+    exps = [(d, e) for d, e in enumerate(exponents) if e]
     total = sum(e for _, e in exps)
     length = sum(d * e for d, e in exps)
     if total < 0 or length < 0:
@@ -294,12 +264,13 @@ def q_int(n: int) -> QPoly:
     return QPoly(0, (1,) * n)
 
 
-def multinomial_exponents(n: int, alpha: Iterable[int]) -> Counter:
-    """The map d -> e_d of [n]_q! / prod [a]_q! for nonnegative alpha summing
-    to n.  [k]_q! = prod_{j<=k} (q**j - 1) / (q - 1)**k, and the (q - 1)
-    powers cancel."""
-    exps = Counter(range(1, n + 1))
-    exps.subtract(j for a in alpha for j in range(1, a + 1))
+def multinomial_exponents(n: int, alpha: Iterable[int]) -> list[int]:
+    """The exponents e_d of [n]_q! / prod [a]_q!, as a list indexed by d, for
+    nonnegative alpha summing to n.  [k]_q! = prod_{j<=k} (q**j - 1) /
+    (q - 1)**k, and the (q - 1) powers cancel."""
+    exps = [0] + [1] * n
+    for j in (j for a in alpha for j in range(1, a + 1)):
+        exps[j] -= 1
     return exps
 
 

@@ -70,7 +70,6 @@ from .mutations import (
 from .qpolys import (
     NonzeroRemainder,
     QPoly,
-    divide_exact,
     divide_exact_int,
     expand,
     q_binomial,
@@ -268,6 +267,35 @@ def gmdn_gf_oracle(blocks: BlockShape, m: int, d: int) -> QPoly:
         fillings = _fillings(mu, sum(mu.alpha()[:step]))
         counts.update(_maj_terms(fillings, mu.b_alpha(), m))
     return QPoly.from_terms(counts)
+
+
+def divide_exact(num: QPoly, den: QPoly) -> QPoly:
+    """Quotient num/den when the division is exact, else NonzeroRemainder."""
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if num.is_zero():
+        return QPoly.zero()
+    if num.offset < den.offset:
+        raise NonzeroRemainder(f"offset {num.offset} < {den.offset}")
+    rem = list(num.coeffs)
+    d = list(den.coeffs)
+    dlead = d[-1]
+    qlen = len(rem) - len(d) + 1
+    if qlen <= 0:
+        raise NonzeroRemainder("numerator degree below denominator degree")
+    quot = [0] * qlen
+    for i in range(qlen - 1, -1, -1):
+        top = rem[i + len(d) - 1]
+        if top % dlead:
+            raise NonzeroRemainder(f"leading coefficient {top} not divisible by {dlead}")
+        f = top // dlead
+        quot[i] = f
+        if f:
+            for j, dj in enumerate(d):
+                rem[i + j] -= f * dj
+    if any(rem):
+        raise NonzeroRemainder("nonzero remainder")
+    return QPoly(num.offset - den.offset, quot)
 
 
 @cache
@@ -668,11 +696,12 @@ def _check_bipartition(blocks: BlockShape) -> tuple[int, list[tuple[str, bool, s
 # suites
 
 
-def _map_maybe_parallel(fn: Callable, items: list, threads: int) -> list:
-    if threads > 1 and len(items) > 1:
+def _map_maybe_parallel(fn: Callable, items: Iterable, threads: int) -> Iterable:
+    """fn of each item in order: lazily here, or from a process pool as a list."""
+    if threads > 1 and len(items := list(items)) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * threads))))
-    return [fn(x) for x in items]
+    return map(fn, items)
 
 
 def _shapes(max_n: int) -> list[Partition]:
@@ -684,9 +713,9 @@ def _compositions(max_n: int, max_m: int) -> list[tuple[int, ...]]:
             for alpha in weak_compositions(n, m)]
 
 
-def _gmdn_cases(max_n: int, max_m: int) -> list[tuple[BlockShape, int, int]]:
-    return [(blocks, m, d) for n in range(1, max_n + 1) for m in range(1, max_m + 1)
-            for d in range(1, m + 1) if m % d == 0 for blocks in block_shapes(n, m)]
+def _gmdn_cases(max_n: int, max_m: int) -> Iterator[tuple[BlockShape, int, int]]:
+    return ((blocks, m, d) for n in range(1, max_n + 1) for m in range(1, max_m + 1)
+            for d in range(1, m + 1) if m % d == 0 for blocks in block_shapes(n, m))
 
 
 def _bipartitions(max_n: int) -> list[BlockShape]:
@@ -821,7 +850,7 @@ class Suite:
     without checks has fixed cases: `cases()` returns its (name, ok, detail)
     rows.
     """
-    cases: Callable[..., list]
+    cases: Callable[..., Iterable]
     checks: tuple[tuple[Callable, int], ...] = ()
     unit: str = "checks"  # a passing bounded row reads "N {unit}"
 
@@ -860,11 +889,12 @@ def _run_suite(name: str, max_n: int | None, threads: int) -> list[CheckResult]:
     suite = SUITES[name]
     if not suite.checks:
         return [CheckResult(name, *row) for row in suite.cases()]
-    work = [(check, case) for check, n in suite.checks
-            for case in suite.cases(n if max_n is None else min(max_n, n))]
-    results = _map_maybe_parallel(_run_case, work, threads)
-    bad = [CheckResult(name, *row) for _, rows in results for row in rows]
-    checked = sum(k for k, _ in results)
+    work = ((check, case) for check, n in suite.checks
+            for case in suite.cases(n if max_n is None else min(max_n, n)))
+    checked, bad = 0, []
+    for k, rows in _map_maybe_parallel(_run_case, work, threads):
+        checked += k
+        bad += (CheckResult(name, *row) for row in rows)
     if bad:
         return bad
     if not checked:

@@ -15,7 +15,6 @@ from sytmaj.deformed import (
 from sytmaj.genfun import gmdn_fake_degree
 from sytmaj.qpolys import (
     QPoly,
-    divide_exact,
     q_binomial,
     q_multinomial,
     shape_predicates,
@@ -26,6 +25,7 @@ from sytmaj.verify import (
     block_shapes,
     deformed_multinomial_by_deletion,
     deformed_multinomial_rational,
+    divide_exact,
     gmdn_gf_oracle,
     partial_sum_multinomial_by_sum,
     q_mult_recurrence_check,
@@ -276,7 +276,7 @@ def test_rotation_sum_golden():
 
 
 def test_one_kernel_call_per_rotation(monkeypatch):
-    # each form is expanded at q, not at q**m: no key exceeds n
+    # each form is expanded at q, not at q**m: its exponents run over d <= n
     calls = []
     expand = sytmaj.deformed.expand
 
@@ -284,8 +284,8 @@ def test_one_kernel_call_per_rotation(monkeypatch):
         calls.append(form)
         return expand(form)
 
-    def keys_at_most(n):
-        return all(k <= n for form in calls for k, e in form.exponents.items() if e)
+    def indexed_to(n):
+        return all(len(form.exponents) == n + 1 for form in calls)
 
     monkeypatch.setattr(sytmaj.deformed, "expand", counting)
     for alpha in COMPS:
@@ -293,17 +293,17 @@ def test_one_kernel_call_per_rotation(monkeypatch):
         for d in _divisors(m):
             calls.clear()
             deformed_multinomial(alpha, d)
-            assert len(calls) <= d and keys_at_most(n), (alpha, d)
+            assert len(calls) <= d and indexed_to(n), (alpha, d)
         for k in range(1, m + 1):
             calls.clear()
             partial_sum_multinomial(alpha, k)
-            assert len(calls) <= 1 and keys_at_most(n), (alpha, k)
+            assert len(calls) <= 1 and indexed_to(n), (alpha, k)
     for shape, m, d in [("2|3,1", 2, 2), ("1|1|2", 3, 3), ("1||1,1|", 4, 2), ("2,1|1|1|", 4, 4),
                         ("10,8,6,4,2|9,7,5,3,1|6,6,6|5,5", 4, 2)]:
         calls.clear()
         blocks = parse_blocks(shape)
         gmdn_fake_degree(blocks, m, d)
-        assert 0 < len(calls) <= d and keys_at_most(blocks.n), shape
+        assert 0 < len(calls) <= d and indexed_to(blocks.n), shape
 
 
 def test_rotation_sum_multiplies_no_polynomials(monkeypatch):

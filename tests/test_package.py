@@ -38,3 +38,15 @@ def test_public_names_have_callers():
             elif isinstance(node, ast.Attribute):
                 loaded.add(node.attr)
     assert set(sytmaj.__all__) - loaded == UNCALLED_PUBLIC_NAMES
+
+
+def test_only_verify_loads_counter():
+    # closed forms hold their exponents as lists indexed by d; the oracles'
+    # (maj, des) counts are the package's only Counters
+    loaders = set()
+    for path in Path(sytmaj.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Name) and node.id == "Counter"
+                    or isinstance(node, ast.alias) and node.name == "Counter"):
+                loaders.add(path.name)
+    assert loaders == {"verify.py"}

@@ -8,9 +8,9 @@ from sytmaj.qpolys import (
     BinomialForm,
     NonzeroRemainder,
     QPoly,
-    divide_exact,
     divide_exact_int,
     expand,
+    multinomial_exponents,
     q_binomial,
     q_factorial,
     q_int,
@@ -18,8 +18,13 @@ from sytmaj.qpolys import (
     shape_predicates,
     substitute_power,
 )
-from sytmaj.shapes import Partition, partitions
-from sytmaj.verify import cyclotomic_polynomial, stanley_cyclotomic_oracle
+from sytmaj.shapes import BlockShape, Partition, partitions
+from sytmaj.verify import (
+    block_shapes,
+    cyclotomic_polynomial,
+    divide_exact,
+    stanley_cyclotomic_oracle,
+)
 
 qpoly_st = st.builds(
     QPoly,
@@ -134,10 +139,10 @@ def test_expand_examples():
     form = stanley(Partition((4, 2)))
     assert form.shift == 2
     # q**d - 1 = prod_{j | d} Phi_j, so Phi_j has exponent sum_{j | d} e_d
-    phi_exps = {j: sum(e for d, e in form.exponents.items() if d % j == 0) for j in range(1, 7)}
+    phi_exps = {j: sum(form.exponents[j::j]) for j in range(1, 7)}
     assert {j: e for j, e in phi_exps.items() if e} == {3: 2, 6: 1}
     assert expand(form) == QPoly(2, (1, 1, 2, 1, 2, 1, 1))
-    assert expand(BinomialForm(0, {})) == QPoly.one()
+    assert expand(BinomialForm(0, [0])) == QPoly.one()
     form421 = stanley(Partition((4, 2, 1)))
     assert form421.shift == 4
     assert expand(form421) == q_int(7) * q_int(5) * QPoly.monomial(4)
@@ -149,12 +154,12 @@ def test_expand_returns_a_normal_polynomial():
     outs = [expand(stanley(p)) for n in range(1, 11) for p in partitions(n)]
     outs += [q_multinomial(n, a) for n in range(7) for a in compositions(n, 4)]
     outs += [expand(BinomialForm(shift, exps)) for shift, exps in (
-        (0, {}), (5, {1: 1}), (5, {2: 1}), (5, {1: 2, 2: 1}), (3, {2: 2, 1: -1}))]
+        (0, [0]), (5, [0, 1]), (5, [0, 0, 1]), (5, [0, 2, 1]), (3, [0, -1, 2]))]
     for out in outs:
         assert out == QPoly(out.offset, out.coeffs), out
         assert out.coeffs[0] and out.coeffs[-1], out
         assert all(type(c) is int for c in out.coeffs), out
-    assert expand(BinomialForm(5, {1: 2, 2: 1})) == QPoly(5, (-1, 2, 0, -2, 1))
+    assert expand(BinomialForm(5, [0, 2, 1])) == QPoly(5, (-1, 2, 0, -2, 1))
 
 
 def test_expand_fast_matches_direct():
@@ -187,24 +192,44 @@ quotient_st = st.integers(min_value=1, max_value=6).flatmap(
     st.lists(st.integers(min_value=1, max_value=6), max_size=3),
 )
 def test_binomial_form_matches_products(shift, quotients, extras):
-    exps: dict[int, int] = {}
+    exps = [0] * 31  # d <= 6 * 5
     want = QPoly.monomial(shift)
     for d, dp in quotients:
-        exps[d] = exps.get(d, 0) + 1
-        exps[dp] = exps.get(dp, 0) - 1
+        exps[d] += 1
+        exps[dp] -= 1
         want = want * substitute_power(q_int(d // dp), dp)
     for d in extras:
-        exps[d] = exps.get(d, 0) + 1
+        exps[d] += 1
         want = want * QPoly.from_terms({0: -1, d: 1})
     assert expand(BinomialForm(shift, exps)) == want
 
 
 def test_binomial_form_rejects_non_polynomials():
-    for exps in ({2: 1, 3: -1}, {3: 1, 2: -1}, {1: -1}, {4: 1, 3: 1, 2: -2}, {5: 1, 2: 1, 3: -2}):
+    for exps in ([0, 0, 1, -1], [0, 0, -1, 1], [0, -1], [0, 0, -2, 1, 1], [0, 0, 1, -2, 0, 1]):
         with pytest.raises(NonzeroRemainder):
             expand(BinomialForm(0, exps))
     with pytest.raises(ValueError):
-        expand(BinomialForm(0, {0: 1}))
+        expand(BinomialForm(0, [1]))
+
+
+def test_binomial_forms_are_lists_indexed_by_d():
+    # e_d for 0 <= d <= n, with e_0 = 0
+    def indexed_by_d(exps, n):
+        return isinstance(exps, list) and len(exps) == n + 1 and exps[0] == 0
+
+    for n in range(1, 8):
+        for p in partitions(n):
+            assert indexed_by_d(stanley(p).exponents, n), p
+    for n in range(5):
+        for m in (1, 2, 3):
+            for bs in block_shapes(n, m):
+                assert indexed_by_d(stanley(bs).exponents, n), bs
+                assert indexed_by_d(multinomial_exponents(n, bs.alpha()), n), bs
+    assert stanley(BlockShape(())).exponents == [0]
+    assert multinomial_exponents(4, (2, 0, 2)) == [0, -1, -1, 1, 1]
+    for exps in ([1], [2, 1], [-1, 0, 1], []):
+        with pytest.raises(ValueError):
+            expand(BinomialForm(0, exps))
 
 
 def test_expand_q1_equals_hook_count_to_30():

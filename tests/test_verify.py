@@ -109,12 +109,12 @@ def _gmdn_suite_cases() -> list[tuple[BlockShape, int, int]]:
     """The cases of the `gmdn` suite at its default bound."""
     suite = V.SUITES["gmdn"]
     [(_, max_n)] = suite.checks
-    return suite.cases(max_n)
+    return list(suite.cases(max_n))
 
 
 def test_shared_corner_table_matches_each_orbit_member():
     cases = _gmdn_suite_cases()
-    assert cases == V._gmdn_cases(6, 4)
+    assert cases == list(V._gmdn_cases(6, 4))
     for blocks, m, d in cases:
         for mu in blocks.orbit(d):
             # the corner table of mu is keyed by its nonempty blocks
@@ -171,7 +171,7 @@ def test_type_a_suites_peel_each_partition_once(monkeypatch):
 
 
 def test_a_warm_corner_table_does_not_hide_a_fault(monkeypatch):
-    cases = V._gmdn_cases(4, 4)
+    cases = list(V._gmdn_cases(4, 4))
     assert V.run_suites(["gmdn"], max_n=4, threads=1) == (
         [V.CheckResult("gmdn", f"{len(cases)} checks", True)], True)
     assert V._corner_table.cache_info().currsize > 0
