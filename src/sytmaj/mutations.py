@@ -2,8 +2,9 @@
 and the strong/weak ranked poset structures they induce.
 
 All moves act on straight-shape standard tableaux by permuting values; a
-forward move raises the major index by exactly one.  The rotation scans and
-block-rule matchers read each value's row and column from arrays by value.
+forward move raises the major index by exactly one.  The rotation scans,
+the block-rule matchers and phi's case analysis read each value's row and
+column from arrays by value.
 
 `build_poset` keys its nodes by their value tuples.  A cover is the move's
 permutation applied to a node's values plus one dict lookup, so no Tableau
@@ -18,14 +19,15 @@ the rotation conditions live in one scan.
 
 Each order is one step, taken at t and at its transpose t' (see
 `build_poset`): the positive rotations and the block rule for the strong
-order, phi for the weak one.  Transposition complements the descent set, so
-the positive rotations at t' read back are the negative rotations into t,
-and a strong build never runs the negative scan.  Its step reads only the
-row and column arrays, which t' has swapped, so it transposes no tableau.
-On a self-conjugate shape transposition maps the ground set to itself and
-reverses maj, so there the step is taken at t alone and each edge is
-mirrored.  The candidate search for one tableau's strong covers, which
-scans the negative rotations at t itself, is `verify.strong_covers`.
+order, phi for the weak one, which skips the exceptional fillings at t and
+at t'.  Transposition complements the descent set, so the positive
+rotations at t' read back are the negative rotations into t, and a strong
+build never runs the negative scan.  Both steps read only the row and
+column arrays, and t' is the same arrays swapped, so no step transposes a
+tableau.  On a self-conjugate shape transposition maps the ground set to
+itself and reverses maj, so there the step is taken at t alone and each
+edge is mirrored.  The candidate search for one tableau's strong covers,
+which scans the negative rotations at t itself, is `verify.strong_covers`.
 """
 from __future__ import annotations
 
@@ -351,15 +353,7 @@ def block_rule(t: Tableau) -> Move | None:
 # the maj-increment map
 
 
-def _prefix_rows(t: Tableau, z: int) -> list[int]:
-    rows: dict[int, int] = {}
-    for v in range(1, z + 1):
-        r = t.row_of(v)
-        rows[r] = rows.get(r, 0) + 1
-    return [rows.get(r, 0) for r in range(1, max(rows) + 1)]
-
-
-def _maxmaj_prefix(t: Tableau) -> tuple[int, list[tuple[int, ...]]]:
+def _maxmaj_prefix(rows: list[int]) -> tuple[int, list[tuple[int, ...]]]:
     """Largest z whose initial values extend to a max-maj filling, and those
     values cut into chunks: successive outermost vertical strips read from
     outside in, each from its bottom value up, the first possibly cut to a
@@ -372,12 +366,12 @@ def _maxmaj_prefix(t: Tableau) -> tuple[int, list[tuple[int, ...]]]:
     at the first value that does neither: dropping the largest value of a
     valid prefix leaves a valid one, so no longer prefix is valid.
     """
-    if t.n == 0 or t.row_of(1) != 1:
+    if rows[1] != 1:  # the empty filling reads the sentinel 0 here
         raise PhiBranchError("no max-maj prefix; tableau is not standard")
     strips = [[1]]  # innermost first, each from its top value down
     lowest = prev = 1
-    for v in range(2, t.n + 1):
-        r = t.row_of(v)
+    for v in range(2, len(rows) - 1):
+        r = rows[v]
         if r == prev + 1:
             strips[-1].append(v)
         elif r == 1 and prev == lowest:
@@ -388,30 +382,34 @@ def _maxmaj_prefix(t: Tableau) -> tuple[int, list[tuple[int, ...]]]:
     return strips[-1][-1], [tuple(reversed(s)) for s in reversed(strips)]
 
 
-def _negrot_from_prefix(t: Tableau) -> Move:
+def _negrot_from_prefix(rows: list[int]) -> Move:
     """The negative rotation guaranteed by the max-maj prefix analysis."""
-    z, chunks = _maxmaj_prefix(t)
-    nu = Partition(_prefix_rows(t, z))
-    lowest = len(nu)
-    rz = t.row_of(z)
+    z, chunks = _maxmaj_prefix(rows)
+    # the prefix shape: each row's length and the value that ends it
+    lengths, ends = [0] * len(rows), [0] * len(rows)
+    for v in range(1, z + 1):
+        lengths[rows[v]] += 1
+        ends[rows[v]] = v
+    lowest = max(rows[1:z + 1])
+    rz = rows[z]
     if rz < lowest:
         # topmost corner of the prefix shape strictly below z
         for r in range(rz + 1, lowest + 1):
-            if nu.part(r) > nu.part(r + 1):
-                i = t.at(r, nu.part(r))
+            if lengths[r] > lengths[r + 1]:
+                i = ends[r]
                 break
         else:  # pragma: no cover - the last row always ends in a corner
             raise PhiBranchError("no corner below z")
         j = next(max(ch) for ch in chunks if i in ch)
     else:
-        if z >= t.n:
+        if z >= len(rows) - 2:
             raise PhiBranchError("max-maj prefix covers the whole tableau")
-        r1 = t.row_of(z + 1)
+        r1 = rows[z + 1]
         if r1 < 2:
             raise PhiBranchError("value after the prefix sits in row 1")
-        i = t.at(r1 - 1, nu.part(r1 - 1))
+        i = ends[r1 - 1]
         j = z
-    if i is None or not i < z:
+    if not 0 < i < z:
         raise PhiBranchError("prefix analysis produced no interval")
     return _negative_move(i, z, j)
 
@@ -423,74 +421,79 @@ def _require(mv: Move | None, why: str) -> Move:
 
 
 def phi_move(t: Tableau) -> Move:
-    """The specific move the maj-increment map applies to t."""
+    """The specific move the maj-increment map applies to t, a standard
+    straight tableau outside the exceptional set (ExceptionalTableau
+    otherwise)."""
     if not isinstance(t.shape, Partition):
         raise ValueError("the maj-increment map is defined for straight shapes")
     if t in _exceptional(t.shape):
         raise ExceptionalTableau(t.to_text())
-    des = t.descent_set()
-    n = t.n
-    if 1 in des:
-        return _negrot_from_prefix(t)
-    rows, cols = _value_coordinates(t)
+    return _phi_move(*_value_coordinates(t))
 
-    if 2 not in des:
+
+def _phi_move(rows: list[int], cols: list[int]) -> Move:
+    """The move the maj-increment map applies to the filling whose values
+    sit at these rows and columns, which must be standard, straight and not
+    exceptional.  Every test of the case analysis reads the two arrays: v is
+    a descent when rows[v+1] > rows[v], which the sentinel at n+1 rules out
+    for v = n, and _holds tells whether v sits in a given cell."""
+    n = len(rows) - 2
+    if rows[2] > rows[1]:  # 1 is a descent
+        return _negrot_from_prefix(rows)
+
+    if rows[3] <= rows[2]:  # 2 is no descent
         abc = a, b, c = _abc(rows, cols)
         if b < 2 or a + 2 > n:
             raise PhiBranchError("degenerate shape outside the exceptional set")
-        p2 = t.pos(a + 2)
-        if p2 == (1, a + 1):
-            return _negrot_from_prefix(t)
-        if p2 == (2, 2):
+        if _holds(rows, cols, a + 2, 1, a + 1):
+            return _negrot_from_prefix(rows)
+        if _holds(rows, cols, a + 2, 2, 2):
             if c == a * b:
-                if t.at(2, a + 1) == c + 2:
+                if _holds(rows, cols, c + 2, 2, a + 1):
                     return _require(_match_b1(rows, cols, abc), "B1 expected")
-                i0 = t.at(b, 1)
-                return _require(
-                    _find_rotation(rows, cols, i0, c + 1), "rotation [row-b start, c+1] expected"
-                )
+                # row b of the rectangle starts with (b-1)a+1
+                return _require(_find_rotation(rows, cols, (b - 1) * a + 1, c + 1),
+                                "rotation [row-b start, c+1] expected")
             return _require(_match_b2(rows, cols, abc), "B2 expected")
-        if p2 == (3, 1):
+        if _holds(rows, cols, a + 2, 3, 1):
             k3 = 2
-            while a + k3 in des:
+            while rows[a + k3 + 1] > rows[a + k3]:
                 k3 += 1
             if a + k3 + 1 > n:
                 raise PhiBranchError("column chain exhausts the tableau")
-            pt = t.pos(a + k3 + 1)
-            if pt == (1, a + 1):
-                return _negrot_from_prefix(t)
-            if pt == (2, 2):
-                if t.at(3, 2) == a + k3 + 2:
+            if _holds(rows, cols, a + k3 + 1, 1, a + 1):
+                return _negrot_from_prefix(rows)
+            if _holds(rows, cols, a + k3 + 1, 2, 2):
+                if _holds(rows, cols, a + k3 + 2, 3, 2):
                     return _require(_match_b3(rows, cols, a), "B3 expected")
                 return _require(
                     _find_rotation(rows, cols, a + k3, a + k3 + 1), "adjacent swap expected"
                 )
-        raise PhiBranchError(f"value {a + 2} in unexpected position {p2}")
+        raise PhiBranchError(f"value {a + 2} in unexpected position {(rows[a + 2], cols[a + 2])}")
 
     # 1 not a descent, 2 a descent
     k = 3
-    while k in des:
+    while rows[k + 1] > rows[k]:
         k += 1
     if k + 1 > n:
         raise PhiBranchError("first-column chain exhausts the tableau")
-    pt = t.pos(k + 1)
-    if pt == (1, 3):
-        return _negrot_from_prefix(t)
-    if pt != (2, 2):
-        raise PhiBranchError(f"value {k + 1} in unexpected position {pt}")
+    if _holds(rows, cols, k + 1, 1, 3):
+        return _negrot_from_prefix(rows)
+    if not _holds(rows, cols, k + 1, 2, 2):
+        raise PhiBranchError(f"value {k + 1} in unexpected position {(rows[k + 1], cols[k + 1])}")
     ell = k + 1
     r = 2
-    while t.at(r + 1, 2) == ell + 1:
+    while _holds(rows, cols, ell + 1, r + 1, 2):
         ell += 1
         r += 1
     if ell < 2 * (k - 1):
         return _require(_find_rotation(rows, cols, k, ell), "negative rotation [k, ell] expected")
-    if t.at(1, 3) == ell + 1:
+    if _holds(rows, cols, ell + 1, 1, 3):
         # walk full columns of height k-1 to the right
         col, p = 3, ell
         while True:
             run = 0
-            while run < k - 1 and t.at(run + 1, col) == p + run + 1:
+            while run < k - 1 and _holds(rows, cols, p + run + 1, run + 1, col):
                 run += 1
             if run == k - 1:
                 p += k - 1
@@ -507,26 +510,25 @@ def phi_move(t: Tableau) -> Move:
                     )
                 return _require(_find_rotation(rows, cols, p, q),
                                 "negative rotation [p, q] expected")
-            if p + 1 <= n and t.pos(p + 1) == (k, 1):
-                if t.at(k, 2) == p + 2:
+            if _holds(rows, cols, p + 1, k, 1):
+                if _holds(rows, cols, p + 2, k, 2):
                     return _require(_find_rotation(rows, cols, p, p + 1), "adjacent swap expected")
                 return _require(_match_b4(rows, cols), "B4 expected")
             raise PhiBranchError("rectangle continuation missing")
-    if ell + 1 > n or t.pos(ell + 1) != (k, 1):
+    if not _holds(rows, cols, ell + 1, k, 1):
         raise PhiBranchError("column-2 block ends unexpectedly")
     if k > 3:
-        if t.at(k, 2) == ell + 2:
+        if _holds(rows, cols, ell + 2, k, 2):
             return _require(_find_rotation(rows, cols, ell, ell + 1), "adjacent swap expected")
         return _require(_match_b5(rows, cols), "B5 expected")
     abc = a2, b2, c2 = _abc(rows, cols)
     if c2 == a2 * b2:
-        if t.at(2, 3) == c2 + 2:
+        if _holds(rows, cols, c2 + 2, 2, 3):
             return _require(_match_b1(rows, cols, abc), "B1 expected")
         # The adjacent swap (c, c+1) breaks here: nothing leaves the descent
-        # set.  The forward cycle from the start of the bottom row is the
-        # move that works, as in the row-filled rectangle case.
-        i0 = t.at(b2, 1)
-        return _require(_find_rotation(rows, cols, i0, c2 + 1),
+        # set.  The forward cycle from the start of the bottom row, (b-1)a+1,
+        # is the move that works, as in the row-filled rectangle case.
+        return _require(_find_rotation(rows, cols, (b2 - 1) * a2 + 1, c2 + 1),
                         "rotation [row-b start, c+1] expected")
     return _require(_match_b2(rows, cols, abc), "B2 expected")
 
@@ -606,19 +608,22 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
 
     Each order has one step, taken at t and at its transpose t': s covers t
     when the step takes t to s, or takes s' to t'.  The strong step is the
-    positive rotations and the block rule; the weak step is phi, empty
-    where phi_move raises ExceptionalTableau.  Transposition complements the
-    descent set, so a positive rotation taken at t' and read back is a
+    positive rotations and the block rule; the weak step is phi, skipped at
+    t when t is exceptional and at t' when t' is.  Transposition complements
+    the descent set, so a positive rotation taken at t' and read back is a
     negative rotation into t, and the block rule taken there is an
-    inverse-transpose block rule.  The strong step reads only each value's
-    row and column, so at t' it reads t's arrays swapped, and no tableau is
-    transposed.
+    inverse-transpose block rule.  Both steps read only each value's row and
+    column, so at t' they read t's arrays swapped and transpose no tableau.
+    The weak order's two skip sets hold the value tuples of the fillings t
+    of p with t exceptional, and with t' exceptional; each is built once per
+    build, the second by transposing the exceptional fillings of p'.
 
     Every step is a value permutation, and permuting values commutes with
     transposition, so both steps land on permuted values of t itself, looked
     up by value tuple (see the module docstring).  A miss that is not an
-    excluded extreme raises as Move.apply does, or as phi does in the weak
-    order, where every edge is also checked to change maj by one.
+    excluded extreme raises, and so does an edge that does not change maj by
+    one: ValueError as Move.apply does in the strong order, PhiBranchError
+    as phi does in the weak one.
 
     When p is self-conjugate, t' is node tr[i] of the ground set, so the
     step is taken at t alone and each of its edges (i, j) also gives the
@@ -630,22 +635,15 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
     conj, mirror = p.transpose_map
     mirrored = conj == p
     if flavor == "strong":
-        fault, check_maj = ValueError, False
-
-        def steps(t: Tableau) -> tuple[list[Move], list[Move]]:
-            rows, cols = _value_coordinates(t)
-            return _forward_moves(rows, cols), [] if mirrored else _forward_moves(cols, rows)
+        step, fault = _forward_moves, ValueError
+        skip_up = skip_down = frozenset()
     elif flavor == "weak":
-        fault, check_maj = PhiBranchError, True
+        fault = PhiBranchError
+        skip_up = {e.values for e in exceptional_set(p)}
+        skip_down = {e.transpose().values for e in exceptional_set(conj)}
 
-        def step(u: Tableau) -> list[Move]:
-            try:
-                return [phi_move(u)]
-            except ExceptionalTableau:
-                return []
-
-        def steps(t: Tableau) -> tuple[list[Move], list[Move]]:
-            return step(t), [] if mirrored else step(t.transpose())
+        def step(rows: list[int], cols: list[int]) -> list[Move]:
+            return [_phi_move(rows, cols)]
     else:
         raise ValueError(f"unknown poset flavor {flavor!r}")
 
@@ -659,7 +657,7 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
         key = tuple(map(perm.get, values, values))
         j = index.get(key)
         maj = majs[j] if j is not None else outside.get(key)
-        if maj is not None and (not check_maj or rise * (maj - majs[i]) == 1):
+        if maj is not None and rise * (maj - majs[i]) == 1:
             return j
         source = (ground[i] if rise > 0 else ground[i].transpose()).to_text()
         if maj is None:
@@ -670,15 +668,17 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
     tr = [index[flip(t.values)] for t in ground] if mirrored else []
     edges: set[tuple[int, int]] = set()
     for i, t in enumerate(ground):
-        up, down = steps(t)
-        for mv in up:
-            if (j := land(i, mv, 1)) is not None:
-                edges.add((i, j))
-                if mirrored:
-                    edges.add((tr[j], tr[i]))
-        for mv in down:
-            if (j := land(i, mv, -1)) is not None:
-                edges.add((j, i))
+        rows, cols = _value_coordinates(t)
+        if t.values not in skip_up:
+            for mv in step(rows, cols):
+                if (j := land(i, mv, 1)) is not None:
+                    edges.add((i, j))
+                    if mirrored:
+                        edges.add((tr[j], tr[i]))
+        if not mirrored and t.values not in skip_down:
+            for mv in step(cols, rows):
+                if (j := land(i, mv, -1)) is not None:
+                    edges.add((j, i))
     covers: list[list[int]] = [[] for _ in ground]
     for i, j in sorted(edges):
         covers[i].append(j)

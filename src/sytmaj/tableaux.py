@@ -65,14 +65,6 @@ class Tableau:
         """Absolute (row, col) of a value."""
         return self._pos[v - 1]
 
-    def row_of(self, v: int) -> int:
-        return self._pos[v - 1][0]
-
-    def at(self, r: int, c: int) -> int | None:
-        """Entry at an absolute cell, or None if the cell is not filled."""
-        i = self.shape.cell_index.get((r, c))
-        return None if i is None else self.values[i]
-
     def rows(self) -> list[list[int]]:
         """Filled entries grouped by absolute row, left to right."""
         out: dict[int, list[int]] = {}

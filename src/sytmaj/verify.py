@@ -528,7 +528,7 @@ def _candidate_block_moves(n: int) -> Iterator[Move]:
 
 def _inverse_block_moves(v: Tableau) -> list[Move]:
     """Block-rule moves whose application to some tableau yields v."""
-    if v.at(2, 1) != 2:  # every block rule makes 1 a descent
+    if v.n < 2 or v.pos(2) != (2, 1):  # every block rule makes 1 a descent
         return []
     out = []
     for mv in _candidate_block_moves(v.n):

@@ -10,6 +10,7 @@ from sytmaj.mutations import (
     Move,
     PhiBranchError,
     _maxmaj_prefix,
+    _value_coordinates,
     block_rule,
     build_poset,
     negative_rotations,
@@ -499,20 +500,30 @@ def test_strong_covers_oracle_scans_negative_rotations(shape):
 
 
 def test_posets_take_each_step_once(monkeypatch):
+    # The step is taken once at t, and once at t' unless p is self-conjugate.
+    # The weak order skips the one exceptional filling on each side: the
+    # max-maj filling of p at t, and of p' at t'.  No node transposes a
+    # tableau; the weak order's skip set at t' transposes its one filling.
     calls = Counter()
-    spy_calls(monkeypatch, calls, mutations, ("_forward_moves", "phi_move"))
+    spy_calls(monkeypatch, calls, mutations, ("_forward_moves", "_phi_move"))
     spy_calls(monkeypatch, calls, Tableau, ("transpose",))
-    # self-conjugate: one step per node, and no tableau is transposed
-    p = parse_partition("4,3,2,1")
-    strong, weak = build_poset(p, "strong"), build_poset(p, "weak")
-    assert calls == {"_forward_moves": len(strong.elements), "phi_move": len(weak.elements)}
-    # otherwise the step at t and at t'; only phi needs t' as a tableau
-    calls.clear()
-    p = parse_partition("5,2,2,1")
-    strong, weak = build_poset(p, "strong"), build_poset(p, "weak")
-    nodes = len(weak.elements)
-    assert calls == {"_forward_moves": 2 * len(strong.elements),
-                     "phi_move": 2 * nodes, "transpose": nodes}
+    for shape, sides in ("4,3,2,1", 1), ("5,2,2,1", 2):
+        p = parse_partition(shape)
+        calls.clear()
+        nodes = len(build_poset(p, "strong").elements)
+        assert calls == {"_forward_moves": sides * nodes}, shape
+        calls.clear()
+        build_poset(p, "weak")
+        assert calls == {"_phi_move": sides * (nodes - 1), "transpose": 1}, shape
+
+
+def test_transpose_swaps_value_coordinates():
+    # Both orders take their step at t' on t's arrays swapped.
+    for n in range(10):
+        for p in partitions(n):
+            for t in enumerate_tableaux(p):
+                assert _value_coordinates(t.transpose()) == _value_coordinates(t)[::-1], \
+                    t.to_text()
 
 
 def test_empty_shape_poset_has_one_node():
@@ -524,7 +535,7 @@ def test_empty_shape_poset_has_one_node():
 def prefix_rows(t, z):
     rows = {}
     for v in range(1, z + 1):
-        r = t.row_of(v)
+        r = t.pos(v)[0]
         rows[r] = rows.get(r, 0) + 1
     return [rows.get(r, 0) for r in range(1, max(rows) + 1)]
 
@@ -567,7 +578,8 @@ def test_maxmaj_prefix_matches_downward_peel():
     for n in range(1, 11):
         for p in partitions(n):
             for t in enumerate_tableaux(p):
-                assert _maxmaj_prefix(t) == maxmaj_prefix_oracle(t), t.to_text()
+                assert _maxmaj_prefix(_value_coordinates(t)[0]) == maxmaj_prefix_oracle(t), \
+                    t.to_text()
 
 
 # Swapping 1 and 2 never leaves a standard filling; the empty cycle set
@@ -597,26 +609,45 @@ def test_strong_poset_checks_moves_at_the_transpose(monkeypatch):
         build_poset(parse_partition("4,2"), "strong")
 
 
+@pytest.mark.parametrize("target", ["_forward_moves", "_block_rule"])
+def test_strong_poset_checks_maj_on_every_edge(monkeypatch, target):
+    fake = (lambda rows, cols: [IDENTITY]) if target == "_forward_moves" \
+        else (lambda rows, cols: IDENTITY)
+    monkeypatch.setattr(mutations, target, fake)
+    with pytest.raises(ValueError, match="changed maj by 0"):
+        build_poset(parse_partition("3,2,1"), "strong")
+
+
 @pytest.mark.parametrize("shape", ["3,2,1", "3,3"])
 @pytest.mark.parametrize("move, why", [
     (SWAP_1_2, "broke standardness"),
     (IDENTITY, "changed maj by 0"),
 ])
 def test_weak_poset_raises_on_broken_phi_move(monkeypatch, shape, move, why):
-    monkeypatch.setattr(mutations, "phi_move", lambda t: move)
+    monkeypatch.setattr(mutations, "_phi_move", lambda rows, cols: move)
     with pytest.raises(PhiBranchError, match=why):
         build_poset(parse_partition(shape), "weak")
 
 
 def test_weak_poset_checks_transposed_phi_moves(monkeypatch):
-    # phi_move is right on straight tableaux of p and wrong on the conjugate
-    # shape, so only the transposed step can raise.
-    p = parse_partition("4,2")
-    real = mutations.phi_move
-    monkeypatch.setattr(mutations, "phi_move",
-                        lambda t: real(t) if t.shape == p else IDENTITY)
-    with pytest.raises(PhiBranchError, match="changed maj by 0"):
-        build_poset(p, "weak")
+    # The step is right on the fillings of 4,2, whose values sit in rows 1
+    # and 2, and wrong on those of its conjugate 2,2,1,1, so only the step
+    # at t' can raise, and the error names t'.
+    real = mutations._phi_move
+    monkeypatch.setattr(mutations, "_phi_move",
+                        lambda rows, cols: real(rows, cols) if max(rows) <= 2 else IDENTITY)
+    with pytest.raises(PhiBranchError, match=r"changed maj by 0 on \d,\d/\d,\d/\d/\d$"):
+        build_poset(parse_partition("4,2"), "weak")
+
+
+def test_phi_move_on_tableaux_up_to_two_cells_is_exceptional():
+    # Every such filling is exceptional, and phi_move says so before the
+    # case analysis reads rows[3], past the arrays of one cell.
+    for n in range(3):
+        for p in partitions(n):
+            for t in enumerate_tableaux(p):
+                with pytest.raises(ExceptionalTableau):
+                    phi_move(t)
 
 
 def test_majdes_behavior_of_phi():
