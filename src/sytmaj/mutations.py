@@ -2,15 +2,17 @@
 and the strong/weak ranked poset structures they induce.
 
 All moves act on straight-shape standard tableaux by permuting values; a
-forward move raises the major index by exactly one.  The rotation scans,
-the block-rule matchers and phi's case analysis read each value's row and
-column from arrays by value.
+forward move raises the major index by exactly one.  `Move.image` is the
+one way a move is applied: it maps a values tuple, and `Move.apply` checks
+that the image is a standard filling.  The rotation scans, the block-rule
+matchers and phi's case analysis read each value's row and column from the
+arrays of `Tableau.coords`.
 
 `build_poset` keys its nodes by their value tuples.  A cover is the move's
-permutation applied to a node's values plus one dict lookup, so no Tableau
-is built per cover.  The ground set is every standard filling minus, for a
-big rectangle, the two extremes, so a lookup that misses and is not one of
-those two is a filling the move left non-standard, and it raises.
+image of a node's values plus one dict lookup, so no Tableau is built per
+cover.  The ground set is every standard filling minus, for a big
+rectangle, the two extremes, so a lookup that misses and is not one of those
+two is a filling the move left non-standard, and it raises.
 
 The negative-rotation conditions are the positive ones on the
 anti-transposed filling: rows and columns swapped and each value v read as
@@ -67,7 +69,8 @@ def _exceptional(p: Partition) -> frozenset[Tableau]:
 @dataclass(frozen=True)
 class Move:
     """One mutation: a value permutation given as disjoint cycles, where each
-    cycle entry maps to its successor (and the last wraps to the first)."""
+    cycle entry maps to its successor (and the last wraps to the first).
+    Reversing every cycle gives the inverse move."""
 
     kind: str  # positive_rotation | negative_rotation | B1..B5 | inv_transpose_B*
     cycles: tuple[tuple[int, ...], ...]
@@ -75,15 +78,15 @@ class Move:
     descent: int | None = None  # rotations: the moving descent j
     params: tuple = ()  # block rules: rule-specific parameters
 
-    def permutation(self) -> dict[int, int]:
-        perm: dict[int, int] = {}
-        for cyc in self.cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                perm[a] = b
-        return perm
+    def image(self, values: tuple[int, ...]) -> tuple[int, ...]:
+        """The values with each cycle entry replaced by its successor."""
+        succ = {a: b for cyc in self.cycles for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+        return tuple(map(succ.get, values, values))
 
     def apply(self, t: Tableau) -> Tableau:
-        return t.relabel(self.permutation())
+        """The move applied to t's values; ValueError unless the result is a
+        standard filling of t's shape."""
+        return Tableau(t.shape, self.image(t.values))
 
 
 def _positive_move(i: int, k: int, j: int) -> Move:
@@ -97,18 +100,9 @@ def _negative_move(i: int, k: int, j: int) -> Move:
 # ---------------------------------------------------------------------------
 # rotation rules
 #
-# The scans read each value's row and column from two arrays indexed by
-# value.  Entries 0 and n+1 hold the sentinel 0, which no cell has, so the
-# values just outside 1..n lie in no rectangle.
-
-
-def _value_coordinates(t: Tableau) -> tuple[list[int], list[int]]:
-    """Row and column of every value, with the sentinel 0 at 0 and n+1."""
-    rows, cols = [0] * (t.n + 2), [0] * (t.n + 2)
-    for (r, c), v in zip(t.shape.cells, t.values):
-        rows[v] = r
-        cols[v] = c
-    return rows, cols
+# The scans read each value's row and column from the arrays of
+# `Tableau.coords`.  Entries 0 and n+1 hold the sentinel 0, which no cell
+# has, so the values just outside 1..n lie in no rectangle.
 
 
 def _in_rect(rows: list[int], cols: list[int], v: int, a: int, b: int) -> bool:
@@ -169,14 +163,14 @@ def positive_rotations(t: Tableau) -> list[Move]:
     """All intervals whose forward cycle raises maj by one: the moving
     descent j slides from j-1, with horizontal strips on both sides and
     bounding-rectangle conditions at the ends."""
-    return [_positive_move(*r) for r in _positive_rotations(*_value_coordinates(t))]
+    return [_positive_move(*r) for r in _positive_rotations(*t.coords())]
 
 
 def negative_rotations(t: Tableau) -> list[Move]:
     """All intervals whose backward cycle raises maj by one: the positive
     conditions on the anti-transposed filling, so with vertical strips on
     both sides."""
-    return [_negative_move(*r) for r in _negative_rotations(*_value_coordinates(t))]
+    return [_negative_move(*r) for r in _negative_rotations(*t.coords())]
 
 
 def _find_rotation(rows: list[int], cols: list[int], i: int, k: int) -> Move | None:
@@ -346,7 +340,7 @@ def block_rule(t: Tableau) -> Move | None:
     """The unique block rule applying to t, if any."""
     if not isinstance(t.shape, Partition):
         raise ValueError("block rules are defined for straight shapes only")
-    return _block_rule(*_value_coordinates(t))
+    return _block_rule(*t.coords())
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +422,7 @@ def phi_move(t: Tableau) -> Move:
         raise ValueError("the maj-increment map is defined for straight shapes")
     if t in _exceptional(t.shape):
         raise ExceptionalTableau(t.to_text())
-    return _phi_move(*_value_coordinates(t))
+    return _phi_move(*t.coords())
 
 
 def _phi_move(rows: list[int], cols: list[int]) -> Move:
@@ -619,11 +613,11 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
     build, the second by transposing the exceptional fillings of p'.
 
     Every step is a value permutation, and permuting values commutes with
-    transposition, so both steps land on permuted values of t itself, looked
-    up by value tuple (see the module docstring).  A miss that is not an
-    excluded extreme raises, and so does an edge that does not change maj by
-    one: ValueError as Move.apply does in the strong order, PhiBranchError
-    as phi does in the weak one.
+    transposition, so both steps land on `Move.image` of t's own values,
+    looked up by value tuple (see the module docstring).  A miss that is not
+    an excluded extreme raises, and so does an edge that does not change maj
+    by one: ValueError as Move.apply does in the strong order,
+    PhiBranchError as phi does in the weak one.
 
     When p is self-conjugate, t' is node tr[i] of the ground set, so the
     step is taken at t alone and each of its edges (i, j) also gives the
@@ -652,9 +646,7 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
         extreme.  The move acts on ground[i] (rise 1) or on its transpose
         (rise -1), whose maj is C(n,2) less ground[i]'s, so it must change
         ground[i]'s maj by `rise`."""
-        values = ground[i].values
-        perm = mv.permutation()
-        key = tuple(map(perm.get, values, values))
+        key = mv.image(ground[i].values)
         j = index.get(key)
         maj = majs[j] if j is not None else outside.get(key)
         if maj is not None and rise * (maj - majs[i]) == 1:
@@ -668,7 +660,7 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
     tr = [index[flip(t.values)] for t in ground] if mirrored else []
     edges: set[tuple[int, int]] = set()
     for i, t in enumerate(ground):
-        rows, cols = _value_coordinates(t)
+        rows, cols = t.coords()
         if t.values not in skip_up:
             for mv in step(rows, cols):
                 if (j := land(i, mv, 1)) is not None:

@@ -29,25 +29,22 @@ class Tableau:
     """A standard filling of a shape; immutable by convention.
 
     `values[i]` is the entry in `shape.cells[i]` (cells in row-major order).
-    With `check=False` the caller vouches that the values are a bijection
-    onto 1..n and the filling is standard; neither is tested.
+    That is the one representation: the value-major view, where each value
+    sits, is `coords()`, built on demand and not stored.  With `check=False`
+    the caller vouches that the values are a bijection onto 1..n and the
+    filling is standard; neither is tested.
     """
 
-    __slots__ = ("shape", "values", "_pos", "_hash")
+    __slots__ = ("shape", "values", "_hash")
 
     def __init__(self, shape: Shape, values, check: bool = True):
         self.shape = shape
         self.values = values = tuple(values)
-        cells = shape.cells
-        n = len(cells)
+        n = len(shape.cells)
         if len(values) != n:
             raise ValueError("value count does not match shape size")
         if check and not _is_bijection(values):
             raise ValueError(f"values must be a bijection onto 1..{n}")
-        pos = [None] * n
-        for cell, v in zip(cells, values):
-            pos[v - 1] = cell
-        self._pos = tuple(pos)
         self._hash = None
         if check and not self._is_standard():
             raise ValueError(f"filling is not standard: {self.values}")
@@ -61,9 +58,21 @@ class Tableau:
     def n(self) -> int:
         return len(self.values)
 
+    def coords(self) -> tuple[list[int], list[int]]:
+        """The absolute row and column of every value, as two arrays indexed
+        by value.  Entries 0 and n+1 hold the sentinel 0, which no cell has."""
+        rows, cols = [0] * (self.n + 2), [0] * (self.n + 2)
+        for (r, c), v in zip(self.shape.cells, self.values):
+            rows[v] = r
+            cols[v] = c
+        return rows, cols
+
     def pos(self, v: int) -> Cell:
-        """Absolute (row, col) of a value."""
-        return self._pos[v - 1]
+        """Absolute (row, col) of a value in 1..n."""
+        if not 0 < v <= self.n:
+            raise ValueError(f"value {v} is outside 1..{self.n}")
+        rows, cols = self.coords()
+        return rows[v], cols[v]
 
     def rows(self) -> list[list[int]]:
         """Filled entries grouped by absolute row, left to right."""
@@ -78,36 +87,16 @@ class Tableau:
 
     def descent_set(self) -> frozenset[int]:
         """Values i with i+1 in a strictly lower (absolute) row."""
-        return frozenset(
-            i for i in range(1, self.n)
-            if self._pos[i][0] > self._pos[i - 1][0]
-        )
+        rows = self.coords()[0]
+        return frozenset(i for i in range(1, self.n) if rows[i + 1] > rows[i])
 
     def maj(self) -> int:
-        """The sum of the descents, read straight from the positions."""
-        total = prev = 0
-        for i, (r, _) in enumerate(self._pos):  # value i+1 sits in row r
-            if r > prev:  # i is a descent (i = 0 adds nothing)
-                total += i
-            prev = r
-        return total
+        """The sum of the descents."""
+        rows = self.coords()[0]
+        return sum(i for i in range(1, self.n) if rows[i + 1] > rows[i])
 
     def des(self) -> int:
         return len(self.descent_set())
-
-    def relabel(self, perm: dict[int, int]) -> "Tableau":
-        """Apply a value permutation (cell of v receives perm(v))."""
-        return Tableau(self.shape, tuple(perm.get(v, v) for v in self.values), check=True)
-
-    def relabel_unchecked(self, perm: dict[int, int]) -> "Tableau | None":
-        """Like relabel but returns None if the result is not a standard
-        filling: a value sent past 1..n, two values sent to one, or a row
-        or column that does not increase."""
-        values = tuple(perm.get(v, v) for v in self.values)
-        if not _is_bijection(values):
-            return None
-        t = Tableau(self.shape, values, check=False)
-        return t if t._is_standard() else None
 
     def transpose(self) -> "Tableau":
         if not isinstance(self.shape, Partition):
@@ -117,9 +106,6 @@ class Tableau:
 
     def to_text(self) -> str:
         return "/".join(",".join(str(v) for v in row) for row in self.rows())
-
-    def to_json(self) -> dict:
-        return {"shape": str(self.shape), "rows": self.rows()}
 
     def __eq__(self, other) -> bool:
         return (
@@ -176,8 +162,8 @@ def to_word(t: Tableau) -> tuple[int, ...]:
     shape = t.shape
     if not isinstance(shape, BlockShape) or any(len(b) > 1 for b in shape.blocks):
         raise ShapeNotOneRowBlocks(f"{shape} is not a one-row block shape")
-    m = shape.m
-    return tuple(m - shape.block_of_cell(t.pos(v)) + 1 for v in range(1, t.n + 1))
+    rows, cols = t.coords()
+    return tuple(shape.m - shape.block_of_cell(cell) + 1 for cell in zip(rows[1:-1], cols[1:-1]))
 
 
 def word_descent_set(word) -> frozenset[int]:
@@ -234,9 +220,8 @@ def exceptional_set(p: Partition) -> frozenset[Tableau]:
         out.add(minmaj_tableau(p))
     if p.is_big_rectangle():
         ell = len(p)
-        cyc = {i: i + 1 for i in range(2, ell + 1)}
-        cyc[ell + 1] = 2
-        out.add(maxmaj_tableau(p).relabel(cyc))
+        cyc = {i: i + 1 for i in range(2, ell + 1)} | {ell + 1: 2}
+        out.add(Tableau(p, (cyc.get(v, v) for v in maxmaj_tableau(p).values)))
     return frozenset(out)
 
 

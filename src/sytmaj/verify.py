@@ -45,7 +45,6 @@ import struct
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
 from math import comb, factorial
@@ -532,8 +531,11 @@ def _inverse_block_moves(v: Tableau) -> list[Move]:
         return []
     out = []
     for mv in _candidate_block_moves(v.n):
-        u = v.relabel_unchecked({w: x for x, w in mv.permutation().items()})
-        if u is None or u == v:
+        try:  # the inverse move: every cycle reversed
+            u = Move(mv.kind, tuple(c[::-1] for c in mv.cycles)).apply(v)
+        except ValueError:  # it leaves no standard filling
+            continue
+        if u == v:
             continue
         mv2 = block_rule(u)
         if mv2 is not None and mv2.apply(u) == v and mv2 not in out:
@@ -699,6 +701,9 @@ def _check_bipartition(blocks: BlockShape) -> tuple[int, list[tuple[str, bool, s
 def _map_maybe_parallel(fn: Callable, items: Iterable, threads: int) -> Iterable:
     """fn of each item in order: lazily here, or from a process pool as a list."""
     if threads > 1 and len(items := list(items)) > 1:
+        # imported here: multiprocessing would add some 36 modules to every
+        # `import sytmaj.cli`, threaded or not
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * threads))))
     return map(fn, items)

@@ -30,14 +30,6 @@ class SupportPrediction:
     excluded: frozenset[int] = frozenset()
     interval_verified: bool = True  # False for skew des predictions
 
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "degrees": sorted(self.degrees),
-            "excluded": sorted(self.excluded),
-            "interval_verified": self.interval_verified,
-        }
-
 
 def support_type_A(p: Partition) -> SupportPrediction:
     """Nonzero major-index degrees for a straight shape: the full interval

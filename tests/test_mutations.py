@@ -10,7 +10,6 @@ from sytmaj.mutations import (
     Move,
     PhiBranchError,
     _maxmaj_prefix,
-    _value_coordinates,
     block_rule,
     build_poset,
     negative_rotations,
@@ -49,8 +48,9 @@ def oracle_rotations(t, sign):
             else:
                 perm = {v: v - 1 for v in range(i + 1, k + 1)}
                 perm[i] = k
-            y = t.relabel_unchecked(perm)
-            if y is None:
+            try:
+                y = Tableau(t.shape, (perm.get(v, v) for v in t.values))
+            except ValueError:  # not a standard filling
                 continue
             added = y.descent_set() - t.descent_set()
             removed = t.descent_set() - y.descent_set()
@@ -144,13 +144,13 @@ def test_rotations_on_skew_shapes():
 
 def block_rule_all(t):
     """All matching block rules (for the disjointness check)."""
-    return [mv for mv in mutations._block_matches(*mutations._value_coordinates(t))
-            if mv is not None]
+    return [mv for mv in mutations._block_matches(*t.coords()) if mv is not None]
 
 
 def inverse_block_rule(v):
     """All tableaux u with a block rule taking u to v."""
-    return [v.relabel({w: x for x, w in mv.permutation().items()}) for mv in _inverse_block_moves(v)]
+    return [Move(mv.kind, tuple(c[::-1] for c in mv.cycles)).apply(v)
+            for mv in _inverse_block_moves(v)]
 
 
 def inverse_transpose_block_covers(t):
@@ -420,8 +420,7 @@ def explicit_edges(p, flavor):
 
     def lands(t, moves):
         for mv in moves:
-            perm = mv.permutation()
-            if (j := index.get(tuple(perm.get(v, v) for v in t.values))) is not None:
+            if (j := index.get(mv.image(t.values))) is not None:
                 yield j
 
     forward, transposed, negatives, read_back = set(), set(), set(), set()
@@ -468,21 +467,22 @@ def spy_calls(monkeypatch, calls, owner, names):
 
 
 def test_strong_posets_read_rows_and_columns_only(monkeypatch):
+    # Each node's arrays are built twice: once by maj() as the ground set is
+    # sorted, and once for the step.
     calls = Counter()
-    spy_calls(monkeypatch, calls, mutations, ("_value_coordinates", "_positive_rotations",
+    spy_calls(monkeypatch, calls, mutations, ("_positive_rotations",
                                               "_negative_rotations", "_block_rule"))
-    spy_calls(monkeypatch, calls, Tableau, ("transpose",))
+    spy_calls(monkeypatch, calls, Tableau, ("coords", "transpose"))
     # self-conjugate: the step at t alone, its edges mirrored
     poset = build_poset(parse_partition("4,3,2,1"), "strong")
     nodes = len(poset.elements)
-    assert calls == {"_value_coordinates": nodes, "_positive_rotations": nodes,
-                     "_block_rule": nodes}
+    assert calls == {"coords": 2 * nodes, "_positive_rotations": nodes, "_block_rule": nodes}
     # otherwise the step again at t', on the same arrays swapped: no negative
     # scan and no transposed tableau
     calls.clear()
     poset = build_poset(parse_partition("5,2,2,1"), "strong")
     nodes = len(poset.elements)
-    assert calls == {"_value_coordinates": nodes, "_positive_rotations": 2 * nodes,
+    assert calls == {"coords": 2 * nodes, "_positive_rotations": 2 * nodes,
                      "_block_rule": 2 * nodes}
 
 
@@ -522,8 +522,7 @@ def test_transpose_swaps_value_coordinates():
     for n in range(10):
         for p in partitions(n):
             for t in enumerate_tableaux(p):
-                assert _value_coordinates(t.transpose()) == _value_coordinates(t)[::-1], \
-                    t.to_text()
+                assert t.transpose().coords() == t.coords()[::-1], t.to_text()
 
 
 def test_empty_shape_poset_has_one_node():
@@ -578,8 +577,7 @@ def test_maxmaj_prefix_matches_downward_peel():
     for n in range(1, 11):
         for p in partitions(n):
             for t in enumerate_tableaux(p):
-                assert _maxmaj_prefix(_value_coordinates(t)[0]) == maxmaj_prefix_oracle(t), \
-                    t.to_text()
+                assert _maxmaj_prefix(t.coords()[0]) == maxmaj_prefix_oracle(t), t.to_text()
 
 
 # Swapping 1 and 2 never leaves a standard filling; the empty cycle set

@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from sytmaj.genfun import stanley
+from sytmaj.mutations import Move
 from sytmaj.qpolys import expand, q_multinomial
 from sytmaj.shapes import BlockShape, DNotDividingM, Partition, b_statistic, parse_blocks, partitions
 from sytmaj.tableaux import (
@@ -64,7 +65,7 @@ def test_tableau_validation_and_text():
     t = from_rows([[1, 2, 4], [3, 6], [5]])
     assert t.to_text() == "1,2,4/3,6/5"
     assert t.row_reading_word() == (5, 3, 6, 1, 2, 4)
-    assert t.to_json() == {"shape": "3,2,1", "rows": [[1, 2, 4], [3, 6], [5]]}
+    assert t.rows() == [[1, 2, 4], [3, 6], [5]]
 
 
 def test_tableau_rejects_non_bijections():
@@ -77,14 +78,35 @@ def test_tableau_rejects_non_bijections():
     assert Tableau(p, (1, 2, 3)).values == (1, 2, 3)
 
 
-def test_relabel_unchecked_rejects_what_is_not_a_standard_filling():
+def test_move_apply_rejects_what_is_not_a_standard_filling():
     t = from_rows([[1, 2], [3]])
-    assert t.relabel_unchecked({3: 4, 4: 3}) is None  # a value past n
-    assert t.relabel_unchecked({3: 0, 0: 3}) is None  # a value below 1
-    assert t.relabel_unchecked({2: 3}) is None  # 2 and 3 both become 3
-    assert t.relabel_unchecked({1: 2, 2: 1}) is None  # a row decreases
-    assert t.relabel_unchecked({2: 3, 3: 2}) == from_rows([[1, 3], [2]])
-    assert t.relabel_unchecked({}) == t
+    for cycles in ((3, 4),), ((3, 0),), ((1, 2),):  # past n, below 1, a row decreases
+        with pytest.raises(ValueError):
+            Move("B1", cycles).apply(t)
+    with pytest.raises(ValueError):  # 2 and 3 both become 3; no Move maps two values to one
+        Tableau(t.shape, (1, 3, 3))
+    assert Move("B1", ((2, 3),)).apply(t) == from_rows([[1, 3], [2]])
+    assert Move("B1", ()).apply(t) == t
+
+
+def test_pos_rejects_values_outside_1_to_n():
+    t = from_rows([[1, 2, 4], [3]])
+    assert [t.pos(v) for v in range(1, 5)] == [(1, 1), (1, 2), (2, 1), (1, 3)]
+    for v in (0, 5):  # the sentinels of coords() are no cells
+        with pytest.raises(ValueError, match=f"^value {v} is outside 1..4$"):
+            t.pos(v)
+
+
+def test_maj_and_descents_match_their_definition_to_n9():
+    # i is a descent when i+1 sits in a strictly lower row; read here from
+    # the cells and values alone, not from coords()
+    for n in range(10):
+        for p in partitions(n):
+            for t in enumerate_tableaux(p):
+                row = {v: r for (r, _), v in zip(p.cells, t.values)}
+                descents = {i for i in range(1, n) if row[i + 1] > row[i]}
+                assert t.descent_set() == descents, t.to_text()
+                assert t.maj() == sum(descents), t.to_text()
 
 
 def test_enumerate_counts():
