@@ -6,13 +6,13 @@ forward move raises the major index by exactly one.  `Move.image` is the
 one way a move is applied: it maps a values tuple, and `Move.apply` checks
 that the image is a standard filling.  The rotation scans, the block-rule
 matchers and phi's case analysis read each value's row and column from the
-arrays of `Tableau.coords`.
+arrays of `tableaux.coords`.
 
-`build_poset` keys its nodes by their value tuples.  A cover is the move's
-image of a node's values plus one dict lookup, so no Tableau is built per
-cover.  The ground set is every standard filling minus, for a big
-rectangle, the two extremes, so a lookup that misses and is not one of those
-two is a filling the move left non-standard, and it raises.
+A `build_poset` node is its values tuple, sorted with the maj that
+`tableaux.fillings` yields.  A cover is the move's image of a node's values
+plus one dict lookup.  The ground set is every standard filling minus, for
+a big rectangle, the two extremes, so a lookup that misses and is not one
+of those two is a filling the move left non-standard, and it raises.
 
 The negative-rotation conditions are the positive ones on the
 anti-transposed filling: rows and columns swapped and each value v read as
@@ -34,19 +34,12 @@ which scans the negative rotations at t itself, is `verify.strong_covers`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import comb
 from operator import itemgetter
 from typing import Iterator
 
 from .shapes import Partition, b_statistic
-from .tableaux import (
-    Tableau,
-    enumerate_tableaux,
-    exceptional_set,
-    maxmaj_tableau,
-    minmaj_tableau,
-)
+from .tableaux import Tableau, coords, exceptional_set, fillings
 
 
 class ExceptionalTableau(ValueError):
@@ -59,11 +52,6 @@ class PhiBranchError(RuntimeError):
     This never fires on standard straight-shape input; it exists so that a
     gap would surface as a loud failure instead of a silent wrong answer.
     """
-
-
-@cache
-def _exceptional(p: Partition) -> frozenset[Tableau]:
-    return exceptional_set(p)
 
 
 @dataclass(frozen=True)
@@ -101,7 +89,7 @@ def _negative_move(i: int, k: int, j: int) -> Move:
 # rotation rules
 #
 # The scans read each value's row and column from the arrays of
-# `Tableau.coords`.  Entries 0 and n+1 hold the sentinel 0, which no cell
+# `tableaux.coords`.  Entries 0 and n+1 hold the sentinel 0, which no cell
 # has, so the values just outside 1..n lie in no rectangle.
 
 
@@ -420,7 +408,7 @@ def phi_move(t: Tableau) -> Move:
     otherwise)."""
     if not isinstance(t.shape, Partition):
         raise ValueError("the maj-increment map is defined for straight shapes")
-    if t in _exceptional(t.shape):
+    if t in exceptional_set(t.shape):
         raise ExceptionalTableau(t.to_text())
     return _phi_move(*t.coords())
 
@@ -544,16 +532,6 @@ def phi(t: Tableau) -> Tableau:
 # posets
 
 
-def _ground(p: Partition) -> tuple[list[Tableau], list[int], tuple[Tableau, ...]]:
-    """The ground set sorted by maj, then by row reading word, its majs, and
-    the extremes it leaves out."""
-    extremes = (minmaj_tableau(p), maxmaj_tableau(p)) if p.is_big_rectangle() else ()
-    excl = {e.values for e in extremes}
-    keyed = sorted((t.maj(), t.row_reading_word(), t)
-                   for t in enumerate_tableaux(p) if t.values not in excl)
-    return [t for _, _, t in keyed], [maj for maj, _, _ in keyed], extremes
-
-
 def _forward_moves(rows: list[int], cols: list[int]) -> list[Move]:
     """The strong step: the positive rotations and the block rule of the
     filling whose values sit at these rows and columns."""
@@ -563,9 +541,12 @@ def _forward_moves(rows: list[int], cols: list[int]) -> list[Move]:
 
 @dataclass(frozen=True)
 class SytPoset:
+    """An order on the ground set, sorted by maj, then by row reading word."""
+
     flavor: str  # "strong" | "weak"
     shape: Partition
     elements: tuple[Tableau, ...]
+    majs: tuple[int, ...]  # majs[i] = maj of element i, from the build
     covers: tuple[tuple[int, ...], ...]  # covers[i] = indices covering element i
 
     def edge_pairs(self) -> set[tuple[int, int]]:
@@ -573,14 +554,14 @@ class SytPoset:
 
     def _labels(self) -> list[str]:
         """Each node's row reading word, joined by "-" from n = 10 on."""
-        sep = "" if self.elements and self.elements[0].n < 10 else "-"
+        sep = "" if self.shape.n < 10 else "-"
         return [sep.join(map(str, t.row_reading_word())) for t in self.elements]
 
     def to_dot(self) -> str:
         labels = self._labels()
         lines = ["digraph syt_poset {", "  rankdir=BT;", "  node [shape=box];"]
         by_maj: dict[int, list[str]] = {}
-        for label, maj in zip(labels, (t.maj() for t in self.elements)):
+        for label, maj in zip(labels, self.majs):
             lines.append(f'  "{label}" [maj={maj}];')
             by_maj.setdefault(maj, []).append(label)
         for maj in sorted(by_maj):
@@ -612,20 +593,27 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
     of p with t exceptional, and with t' exceptional; each is built once per
     build, the second by transposing the exceptional fillings of p'.
 
-    Every step is a value permutation, and permuting values commutes with
+    A node is its values tuple; the ground set is the (maj, values) pairs
+    of `fillings`, sorted by maj and row reading word, less the first and
+    last (the unique min-maj and max-maj fillings) on a big rectangle.  Every
+    step is a value permutation, and permuting values commutes with
     transposition, so both steps land on `Move.image` of t's own values,
     looked up by value tuple (see the module docstring).  A miss that is not
     an excluded extreme raises, and so does an edge that does not change maj
     by one: ValueError as Move.apply does in the strong order,
-    PhiBranchError as phi does in the weak one.
+    PhiBranchError as phi does in the weak one.  Tableau objects are made
+    only for those errors and for `elements`.
 
     When p is self-conjugate, t' is node tr[i] of the ground set, so the
     step is taken at t alone and each of its edges (i, j) also gives the
     edge (tr[j], tr[i]) of the step at t'.
     """
-    ground, majs, extremes = _ground(p)
-    index = {t.values: i for i, t in enumerate(ground)}
-    outside = {e.values: e.maj() for e in extremes}
+    word = itemgetter(*p.reading_order) if p.n > 1 else tuple
+    keyed = sorted(fillings(p), key=lambda f: (f[0], word(f[1])))
+    extremes = (keyed.pop(0), keyed.pop()) if p.is_big_rectangle() else ()
+    outside = {v: maj for maj, v in extremes}
+    majs, ground = tuple(maj for maj, _ in keyed), [v for _, v in keyed]
+    index = {v: i for i, v in enumerate(ground)}
     conj, mirror = p.transpose_map
     mirrored = conj == p
     if flavor == "strong":
@@ -646,35 +634,37 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
         extreme.  The move acts on ground[i] (rise 1) or on its transpose
         (rise -1), whose maj is C(n,2) less ground[i]'s, so it must change
         ground[i]'s maj by `rise`."""
-        key = mv.image(ground[i].values)
+        key = mv.image(ground[i])
         j = index.get(key)
         maj = majs[j] if j is not None else outside.get(key)
         if maj is not None and rise * (maj - majs[i]) == 1:
             return j
-        source = (ground[i] if rise > 0 else ground[i].transpose()).to_text()
+        t = Tableau(p, ground[i], check=False)
+        source = (t if rise > 0 else t.transpose()).to_text()
         if maj is None:
             raise fault(f"{mv} broke standardness on {source}")
         raise fault(f"{mv} changed maj by {rise * (maj - majs[i])} on {source}")
 
     flip = itemgetter(*mirror) if p.n > 1 else tuple
-    tr = [index[flip(t.values)] for t in ground] if mirrored else []
+    tr = [index[flip(v)] for v in ground] if mirrored else []
     edges: set[tuple[int, int]] = set()
-    for i, t in enumerate(ground):
-        rows, cols = t.coords()
-        if t.values not in skip_up:
+    for i, v in enumerate(ground):
+        rows, cols = coords(p.cells, v)  # built once, for both steps
+        if v not in skip_up:
             for mv in step(rows, cols):
                 if (j := land(i, mv, 1)) is not None:
                     edges.add((i, j))
                     if mirrored:
                         edges.add((tr[j], tr[i]))
-        if not mirrored and t.values not in skip_down:
+        if not mirrored and v not in skip_down:
             for mv in step(cols, rows):
                 if (j := land(i, mv, -1)) is not None:
                     edges.add((j, i))
     covers: list[list[int]] = [[] for _ in ground]
     for i, j in sorted(edges):
         covers[i].append(j)
-    return SytPoset(flavor, p, tuple(ground), tuple(tuple(sorted(c)) for c in covers))
+    elements = tuple(Tableau(p, v, check=False) for v in ground)
+    return SytPoset(flavor, p, elements, majs, tuple(tuple(sorted(c)) for c in covers))
 
 
 @dataclass(frozen=True)
@@ -711,7 +701,7 @@ def verify_ranked(poset: SytPoset) -> RankReport:
         return RankReport(
             poset.flavor, str(p), 0, True, True, True, True, None, None, None, None
         )
-    majs = [t.maj() for t in poset.elements]
+    majs = poset.majs
     indeg = [0] * len(poset.elements)
     graded = True
     for i, ups in enumerate(poset.covers):

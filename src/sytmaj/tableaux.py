@@ -1,6 +1,7 @@
 """Standard Young tableaux on straight, skew, and block-diagonal shapes."""
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator
 
 from .shapes import (
@@ -59,13 +60,8 @@ class Tableau:
         return len(self.values)
 
     def coords(self) -> tuple[list[int], list[int]]:
-        """The absolute row and column of every value, as two arrays indexed
-        by value.  Entries 0 and n+1 hold the sentinel 0, which no cell has."""
-        rows, cols = [0] * (self.n + 2), [0] * (self.n + 2)
-        for (r, c), v in zip(self.shape.cells, self.values):
-            rows[v] = r
-            cols[v] = c
-        return rows, cols
+        """`coords` of this filling's cells and values."""
+        return coords(self.shape.cells, self.values)
 
     def pos(self, v: int) -> Cell:
         """Absolute (row, col) of a value in 1..n."""
@@ -123,37 +119,54 @@ class Tableau:
         return f"Tableau({self.to_text()})"
 
 
+def coords(cells, values: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The absolute row and column of every value, as two arrays indexed by
+    value, where `values[i]` sits in `cells[i]`.  Entries 0 and n+1 hold the
+    sentinel 0, which no cell has."""
+    rows, cols = [0] * (len(values) + 2), [0] * (len(values) + 2)
+    for (r, c), v in zip(cells, values):
+        rows[v] = r
+        cols[v] = c
+    return rows, cols
+
+
 def from_rows(rows: list[list[int]]) -> Tableau:
     """Build a straight-shape tableau from its rows."""
     shape = Partition(len(r) for r in rows)
     return Tableau(shape, tuple(v for row in rows for v in row))
 
 
-def enumerate_tableaux(shape: Shape, limit: int = 20) -> Iterator[Tableau]:
-    """Stream every standard filling exactly once, in the deterministic
-    order given by value-ascending backtracking with cells tried row-major."""
+def fillings(shape: Shape, limit: int = 20) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Stream (maj, values) for every standard filling exactly once, in the
+    deterministic order given by value-ascending backtracking with cells
+    tried row-major.  The maj is summed as the values are placed: v-1 is a
+    descent when v lands in a lower row than v-1, and 0 sits in row 0."""
     n = len(shape.cells)
     if n > limit:
         raise BoundExceeded(f"shape has {n} cells, bound is {limit}")
-    if n == 0:
-        yield Tableau(shape, ())
-        return
     north, west = shape.neighbours
+    rows = [r for r, _ in shape.cells]
     values = [0] * n
 
-    def rec(v: int) -> Iterator[Tableau]:
+    def rec(v: int, row: int, maj: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         if v > n:
-            yield Tableau(shape, values, check=False)
+            yield maj, tuple(values)
             return
         for i in range(n):
             if values[i] == 0 \
                     and (north[i] < 0 or values[north[i]]) \
                     and (west[i] < 0 or values[west[i]]):
                 values[i] = v
-                yield from rec(v + 1)
+                yield from rec(v + 1, rows[i], maj + v - 1 if rows[i] > row else maj)
                 values[i] = 0
 
-    yield from rec(1)
+    yield from rec(1, 0, 0)
+
+
+def enumerate_tableaux(shape: Shape, limit: int = 20) -> Iterator[Tableau]:
+    """Every standard filling of the shape as a Tableau, in the order of
+    `fillings`."""
+    return (Tableau(shape, values, check=False) for _, values in fillings(shape, limit))
 
 
 def to_word(t: Tableau) -> tuple[int, ...]:
@@ -210,6 +223,7 @@ def minmaj_tableau(p: Partition) -> Tableau:
     return maxmaj_tableau(p.conjugate()).transpose()
 
 
+@cache
 def exceptional_set(p: Partition) -> frozenset[Tableau]:
     """Tableaux excluded from the maj-increment map: always the max-maj
     tableau; for rectangles also the min-maj tableau; for rectangles with

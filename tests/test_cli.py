@@ -110,6 +110,14 @@ def test_enumerate(capsys):
 
 
 def test_poset_outputs(capsys):
+    # one node per element of the ground set; 2,2 is a big rectangle, whose
+    # two fillings are both extremes
+    ground = {"4": 1, "3,1": 3, "2,2": 0, "2,1,1": 3, "1,1,1,1": 1}
+    for shape, size in ground.items():
+        for order in ("strong", "weak"):
+            assert main(["poset", "--shape", shape, "--order", order]) == 0
+            dot = capsys.readouterr().out
+            assert dot.startswith("digraph") and dot.count("[maj=") == size, (shape, order)
     assert main(["poset", "--shape", "3,2,1", "--order", "weak", "--format", "dot"]) == 0
     dot = capsys.readouterr().out
     assert dot.count("[maj=") == 16

@@ -258,10 +258,22 @@ def test_phi_iteration_spans_the_range():
             assert t == maxmaj_tableau(p)
 
 
+def ground_set(p):
+    """Every standard filling of p by maj, then by row reading word, less
+    the min-maj and max-maj fillings of a big rectangle."""
+    extremes = {minmaj_tableau(p), maxmaj_tableau(p)} if p.is_big_rectangle() else set()
+    return sorted((t for t in enumerate_tableaux(p) if t not in extremes),
+                  key=lambda t: (t.maj(), t.row_reading_word()))
+
+
 def test_poset_ground_sets():
-    assert len(mutations._ground(Partition((2, 2)))[0]) == 0
-    assert len(mutations._ground(Partition((3, 2, 1)))[0]) == 16
-    assert len(mutations._ground(Partition((5, 5)))[0]) == 42 - 2
+    for shape, size in (("2,2", 0), ("3,2,1", 16), ("5,5", 42 - 2)):
+        ground = ground_set(parse_partition(shape))
+        assert len(ground) == size, shape
+        for flavor in ("strong", "weak"):
+            poset = build_poset(parse_partition(shape), flavor)
+            assert poset.elements == tuple(ground), (shape, flavor)
+            assert poset.majs == tuple(t.maj() for t in ground), (shape, flavor)
 
 
 def test_poset_structure_321():
@@ -297,7 +309,9 @@ def test_all_small_posets_ranked():
     for n in range(1, 8):
         for p in partitions(n):
             for flavor in ("strong", "weak"):
-                report = verify_ranked(build_poset(p, flavor))
+                poset = build_poset(p, flavor)
+                assert poset.majs == tuple(t.maj() for t in poset.elements), (p, flavor)
+                report = verify_ranked(poset)
                 assert report.ok(), (p, flavor, report)
 
 
@@ -332,7 +346,7 @@ def weak_covers(ground, t):
 
 def test_cover_functions_match_posets():
     p = Partition((3, 2, 1))
-    ground = mutations._ground(p)[0]
+    ground = ground_set(p)
     strong = build_poset(p, "strong")
     weak = build_poset(p, "weak")
     index = {t: i for i, t in enumerate(ground)}
@@ -409,7 +423,7 @@ def explicit_edges(p, flavor):
     onto t.  Besides the edges of both, it returns, for the strong order,
     the edges of the negative rotations at t and those of the positive
     rotations at t' read back."""
-    ground = mutations._ground(p)[0]
+    ground = ground_set(p)
     index = {t.values: i for i, t in enumerate(ground)}
     exc = exceptional_set(p) | exceptional_set(p.conjugate())
 
@@ -467,30 +481,31 @@ def spy_calls(monkeypatch, calls, owner, names):
 
 
 def test_strong_posets_read_rows_and_columns_only(monkeypatch):
-    # Each node's arrays are built twice: once by maj() as the ground set is
-    # sorted, and once for the step.
-    calls = Counter()
-    spy_calls(monkeypatch, calls, mutations, ("_positive_rotations",
+    # Each node's arrays are built once, from its values tuple, and serve
+    # the step at t and at t'; the build asks no Tableau for them or for maj.
+    calls, tableau_calls = Counter(), Counter()
+    spy_calls(monkeypatch, calls, mutations, ("coords", "_positive_rotations",
                                               "_negative_rotations", "_block_rule"))
-    spy_calls(monkeypatch, calls, Tableau, ("coords", "transpose"))
+    spy_calls(monkeypatch, tableau_calls, Tableau, ("coords", "maj", "transpose"))
     # self-conjugate: the step at t alone, its edges mirrored
     poset = build_poset(parse_partition("4,3,2,1"), "strong")
     nodes = len(poset.elements)
-    assert calls == {"coords": 2 * nodes, "_positive_rotations": nodes, "_block_rule": nodes}
+    assert calls == {"coords": nodes, "_positive_rotations": nodes, "_block_rule": nodes}
     # otherwise the step again at t', on the same arrays swapped: no negative
     # scan and no transposed tableau
     calls.clear()
     poset = build_poset(parse_partition("5,2,2,1"), "strong")
     nodes = len(poset.elements)
-    assert calls == {"coords": 2 * nodes, "_positive_rotations": 2 * nodes,
+    assert calls == {"coords": nodes, "_positive_rotations": 2 * nodes,
                      "_block_rule": 2 * nodes}
+    assert tableau_calls == {}
 
 
 @pytest.mark.parametrize("shape", ["3,2,1", "4,2,1", "3,3"])
 def test_strong_covers_oracle_scans_negative_rotations(shape):
     # The oracle searches every move at t itself, whatever the strong step
     # of build_poset leaves to the transpose.
-    ground = mutations._ground(parse_partition(shape))[0]
+    ground = ground_set(parse_partition(shape))
     kept = set(ground)
     for t in ground:
         covers = set(strong_covers(t))

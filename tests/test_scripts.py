@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 from sytmaj.qpolys import QPoly
-from sytmaj.shapes import parse_blocks, partitions
+from sytmaj.shapes import parse_blocks
 from sytmaj.verify import block_shapes, gmdn_gf_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,12 +31,3 @@ def test_fake_degree_table_prints_oracle_polynomials():
     assert {frozenset({b.blocks, b.blocks[::-1]}) for b in shapes} == orbits
     for blocks, (_, poly) in zip(shapes, rows):
         assert QPoly.from_json(json.loads(poly)) == gmdn_gf_oracle(blocks, 2, 2), blocks
-
-
-def test_export_posets_writes_ranked_posets(tmp_path):
-    lines = run_script("export_posets.py", "4", "--out", str(tmp_path))
-    assert len(lines) == 2 * len(list(partitions(4)))
-    for line in lines:
-        name = line.split(":")[0]
-        assert line.endswith("ranked=True"), line
-        assert (tmp_path / name).read_text().startswith("digraph")

@@ -1,3 +1,4 @@
+import hashlib
 from math import comb
 
 import pytest
@@ -13,6 +14,7 @@ from sytmaj.tableaux import (
     canonical_orbit_tableaux,
     enumerate_tableaux,
     exceptional_set,
+    fillings,
     from_rows,
     maxmaj_tableau,
     minmaj_tableau,
@@ -99,14 +101,16 @@ def test_pos_rejects_values_outside_1_to_n():
 
 def test_maj_and_descents_match_their_definition_to_n9():
     # i is a descent when i+1 sits in a strictly lower row; read here from
-    # the cells and values alone, not from coords()
+    # the cells and values alone, not from coords().  fillings() sums the
+    # maj as it places the values.
     for n in range(10):
         for p in partitions(n):
-            for t in enumerate_tableaux(p):
-                row = {v: r for (r, _), v in zip(p.cells, t.values)}
+            for (maj, values), t in zip(fillings(p), enumerate_tableaux(p), strict=True):
+                assert t.values == values
+                row = {v: r for (r, _), v in zip(p.cells, values)}
                 descents = {i for i in range(1, n) if row[i + 1] > row[i]}
                 assert t.descent_set() == descents, t.to_text()
-                assert t.maj() == sum(descents), t.to_text()
+                assert t.maj() == maj == sum(descents), t.to_text()
 
 
 def test_enumerate_counts():
@@ -122,10 +126,20 @@ def test_enumerate_large_count():
     assert count_tableaux(Partition((5, 4, 4, 2))) == 81081
 
 
-def test_enumerate_deterministic():
-    a = [t.values for t in enumerate_tableaux(Partition((3, 2)))]
-    b = [t.values for t in enumerate_tableaux(Partition((3, 2)))]
-    assert a == b and len(set(a)) == 5
+def test_enumerate_order_golden_to_n8():
+    # sha256 of the values of every tableau of every partition with n <= 8,
+    # in enumeration order (the order `sytmaj enumerate` prints), as
+    # enumerated before fillings() yielded each maj with its values
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(9):
+        for p in partitions(n):
+            for t in enumerate_tableaux(p):
+                digest.update(repr(t.values).encode())
+                count += 1
+    assert count == 1116
+    assert digest.hexdigest() == \
+        "8f88dedcfe2bd952f7e45959a946e32e21572c1652f510a30db2b38eaf31badf"
 
 
 def test_to_word_requires_one_row_blocks():
