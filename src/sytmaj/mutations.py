@@ -2,17 +2,20 @@
 and the strong/weak ranked poset structures they induce.
 
 All moves act on straight-shape standard tableaux by permuting values; a
-forward move raises the major index by exactly one.  `Move.image` is the
-one way a move is applied: it maps a values tuple, and `Move.apply` checks
-that the image is a standard filling.  The rotation scans, the block-rule
+forward move raises the major index by exactly one.  A `Move` is applied
+by `Move.image`, which maps a values tuple, and `Move.apply` checks that
+the image is a standard filling.  The rotation scans, the block-rule
 matchers and phi's case analysis read each value's row and column from the
 arrays of `tableaux.coords`.
 
 A `build_poset` node is its values tuple, sorted with the maj that
-`tableaux.fillings` yields.  A cover is the move's image of a node's values
-plus one dict lookup.  The ground set is every standard filling minus, for
-a big rectangle, the two extremes, so a lookup that misses and is not one
-of those two is a filling the move left non-standard, and it raises.
+`tableaux.fillings` yields.  A cover is a move's image of a node's values
+plus one dict lookup.  The strong step makes no `Move` for a rotation: the
+scan gives its interval [i, k], and the values map through that interval's
+table, `_interval_shift`.  A block move and phi's move go through
+`Move.image`.  The ground set is every standard filling minus, for a big
+rectangle, the two extremes, so a lookup that misses and is not one of
+those two is a filling the move left non-standard, and it raises.
 
 The negative-rotation conditions are the positive ones on the
 anti-transposed filling: rows and columns swapped and each value v read as
@@ -104,24 +107,26 @@ def _positive_rotations(rows: list[int], cols: list[int]) -> list[tuple[int, int
     """(i, k, j): interval [i, k] and moving descent j of each positive rotation."""
     n = len(rows) - 2
     moves = []
+    # In a standard filling the rows of v-1 and v decide their columns: v
+    # below v-1 sits weakly west of it, and v weakly above v-1 sits strictly
+    # east of it.  So each strip test below reads the rows alone.
     for j in range(2, n + 1):
         # j-1, j in a common vertical strip
-        if not (rows[j] > rows[j - 1] and cols[j] <= cols[j - 1]):
+        if rows[j] <= rows[j - 1]:
             continue
         lefts = [j, j - 1]
         i = j - 1
         # i-1, i in a common horizontal strip
-        while i >= 2 and cols[i] > cols[i - 1] and rows[i] <= rows[i - 1]:
+        while i >= 2 and rows[i] <= rows[i - 1]:
             i -= 1
             lefts.append(i)
         last = j
-        while last < n and cols[last + 1] > cols[last] and rows[last + 1] <= rows[last]:
+        while last < n and rows[last + 1] <= rows[last]:
             last += 1
         # the right end k alone decides its condition: k strictly north-east
         # of k-1 with k+1 outside their rectangle, or k = j with k+1 inside
         rights = [k for k in range(j, last + 1) if (
-            rows[k] < rows[k - 1] and cols[k] > cols[k - 1]
-            and not _in_rect(rows, cols, k + 1, k, k - 1)
+            rows[k] < rows[k - 1] and not _in_rect(rows, cols, k + 1, k, k - 1)
             if j < k else _in_rect(rows, cols, k + 1, k, k - 1))]
         for i in lefts:
             for k in rights:
@@ -309,7 +314,8 @@ def _match_b5(rows: list[int], cols: list[int]) -> Move | None:
 
 
 def _block_matches(rows: list[int], cols: list[int]) -> Iterator[Move | None]:
-    """Each block rule's match, B1 to B5, None where it does not apply."""
+    """Each block rule's match, B1 to B5, None where it does not apply: all
+    five, where `_block_rule` stops at the first."""
     abc = _abc(rows, cols)
     yield _match_b1(rows, cols, abc)
     yield _match_b2(rows, cols, abc)
@@ -320,8 +326,14 @@ def _block_matches(rows: list[int], cols: list[int]) -> Iterator[Move | None]:
 
 def _block_rule(rows: list[int], cols: list[int]) -> Move | None:
     """The unique block rule applying to the filling, if any.  The five
-    patterns are mutually exclusive."""
-    return next((mv for mv in _block_matches(rows, cols) if mv is not None), None)
+    patterns are mutually exclusive.  Every one needs row 1 to start 1..a
+    with a >= 2 and a+1 under the 1 (B4 and B5 with a = 2), so a filling
+    without both is rejected before any matcher runs."""
+    abc = _abc(rows, cols)
+    if abc[0] < 2 or abc[1] < 2:
+        return None
+    return (_match_b1(rows, cols, abc) or _match_b2(rows, cols, abc)
+            or _match_b3(rows, cols, abc[0]) or _match_b4(rows, cols) or _match_b5(rows, cols))
 
 
 def block_rule(t: Tableau) -> Move | None:
@@ -532,11 +544,17 @@ def phi(t: Tableau) -> Tableau:
 # posets
 
 
-def _forward_moves(rows: list[int], cols: list[int]) -> list[Move]:
-    """The strong step: the positive rotations and the block rule of the
-    filling whose values sit at these rows and columns."""
-    mv = _block_rule(rows, cols)
-    return [_positive_move(*r) for r in _positive_rotations(rows, cols)] + ([mv] if mv else [])
+def _forward_moves(rows: list[int], cols: list[int]) -> tuple[list[tuple], Move | None]:
+    """The strong step: the positive rotations (i, k, j) and the block rule
+    of the filling whose values sit at these rows and columns."""
+    return _positive_rotations(rows, cols), _block_rule(rows, cols)
+
+
+def _interval_shift(n: int, i: int, k: int) -> tuple[int, ...]:
+    """The positive rotation on [i, k] as a table on the values 0..n: a to
+    a+1 for i <= a < k, k to i, and every other value fixed.  Mapping a
+    values tuple through it gives the rotation's `Move.image`."""
+    return (*range(i), *range(i + 1, k + 1), i, *range(k + 1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -597,12 +615,13 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
     of `fillings`, sorted by maj and row reading word, less the first and
     last (the unique min-maj and max-maj fillings) on a big rectangle.  Every
     step is a value permutation, and permuting values commutes with
-    transposition, so both steps land on `Move.image` of t's own values,
-    looked up by value tuple (see the module docstring).  A miss that is not
-    an excluded extreme raises, and so does an edge that does not change maj
-    by one: ValueError as Move.apply does in the strong order,
-    PhiBranchError as phi does in the weak one.  Tableau objects are made
-    only for those errors and for `elements`.
+    transposition, so both steps land on an image of t's own values, looked
+    up by value tuple (see the module docstring); each interval's table is
+    made once per build.  A miss that is not an excluded extreme raises, and
+    so does an edge that does not change maj by one: ValueError as
+    Move.apply does in the strong order, PhiBranchError as phi does in the
+    weak one.  A rotation's Move is made only for those errors, and Tableau
+    objects only for them and for `elements`.
 
     When p is self-conjugate, t' is node tr[i] of the ground set, so the
     step is taken at t alone and each of its edges (i, j) also gives the
@@ -624,47 +643,60 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
         skip_up = {e.values for e in exceptional_set(p)}
         skip_down = {e.transpose().values for e in exceptional_set(conj)}
 
-        def step(rows: list[int], cols: list[int]) -> list[Move]:
-            return [_phi_move(rows, cols)]
+        def step(rows: list[int], cols: list[int]) -> tuple[tuple, Move]:
+            return (), _phi_move(rows, cols)
     else:
         raise ValueError(f"unknown poset flavor {flavor!r}")
 
-    def land(i: int, mv: Move, rise: int) -> int | None:
-        """Index of the node mv takes ground[i] to, None for an excluded
-        extreme.  The move acts on ground[i] (rise 1) or on its transpose
-        (rise -1), whose maj is C(n,2) less ground[i]'s, so it must change
-        ground[i]'s maj by `rise`."""
-        key = mv.image(ground[i])
+    def land(i: int, key: tuple[int, ...], rise: int, mv: Move | tuple) -> int | None:
+        """Index of the node key, mv's image of ground[i], None for an
+        excluded extreme; mv is a Move or a rotation triple.  The move acts
+        on ground[i] (rise 1) or on its transpose (rise -1), whose maj is
+        C(n,2) less ground[i]'s, so it must change ground[i]'s maj by
+        `rise`."""
         j = index.get(key)
         maj = majs[j] if j is not None else outside.get(key)
         if maj is not None and rise * (maj - majs[i]) == 1:
             return j
+        if not isinstance(mv, Move):
+            mv = _positive_move(*mv)
         t = Tableau(p, ground[i], check=False)
         source = (t if rise > 0 else t.transpose()).to_text()
         if maj is None:
             raise fault(f"{mv} broke standardness on {source}")
         raise fault(f"{mv} changed maj by {rise * (maj - majs[i])} on {source}")
 
+    shifts: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def targets(i: int, rows: list[int], cols: list[int], rise: int) -> list[int]:
+        """The nodes the step on these arrays takes ground[i] to."""
+        v = ground[i]
+        rotations, mv = step(rows, cols)
+        out = []
+        for r in rotations:
+            ik = r[:2]
+            table = shifts.get(ik) or shifts.setdefault(ik, _interval_shift(p.n, *ik))
+            if (j := land(i, tuple(map(table.__getitem__, v)), rise, r)) is not None:
+                out.append(j)
+        if mv is not None and (j := land(i, mv.image(v), rise, mv)) is not None:
+            out.append(j)
+        return out
+
     flip = itemgetter(*mirror) if p.n > 1 else tuple
     tr = [index[flip(v)] for v in ground] if mirrored else []
-    edges: set[tuple[int, int]] = set()
+    covers: list[list[int]] = [[] for _ in ground]
     for i, v in enumerate(ground):
         rows, cols = coords(p.cells, v)  # built once, for both steps
         if v not in skip_up:
-            for mv in step(rows, cols):
-                if (j := land(i, mv, 1)) is not None:
-                    edges.add((i, j))
-                    if mirrored:
-                        edges.add((tr[j], tr[i]))
+            for j in targets(i, rows, cols, 1):
+                covers[i].append(j)
+                if mirrored:
+                    covers[tr[j]].append(tr[i])
         if not mirrored and v not in skip_down:
-            for mv in step(cols, rows):
-                if (j := land(i, mv, -1)) is not None:
-                    edges.add((j, i))
-    covers: list[list[int]] = [[] for _ in ground]
-    for i, j in sorted(edges):
-        covers[i].append(j)
+            for j in targets(i, cols, rows, -1):
+                covers[j].append(i)
     elements = tuple(Tableau(p, v, check=False) for v in ground)
-    return SytPoset(flavor, p, elements, majs, tuple(tuple(sorted(c)) for c in covers))
+    return SytPoset(flavor, p, elements, majs, tuple(tuple(sorted(set(c))) for c in covers))
 
 
 @dataclass(frozen=True)

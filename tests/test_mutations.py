@@ -112,6 +112,20 @@ def test_rotation_moves_golden_to_n9():
         "49ae9ad92ab933388b91dfdda0fc35c81b8f94df411dba88ae79b806a8e8d8d9"
 
 
+def test_rotations_land_through_their_interval_shift():
+    # The strong build maps a values tuple through the rotation's interval
+    # table, where Move.image would map it through the cycle: same image,
+    # at t and at t' (the arrays swapped).
+    for n in range(10):
+        for p in partitions(n):
+            for t in enumerate_tableaux(p):
+                for arrays in t.coords(), t.coords()[::-1]:
+                    for i, k, j in mutations._positive_rotations(*arrays):
+                        table = mutations._interval_shift(n, i, k)
+                        assert tuple(map(table.__getitem__, t.values)) == \
+                            mutations._positive_move(i, k, j).image(t.values), (t.to_text(), i, k)
+
+
 def test_rotation_descent_slide():
     for n in range(2, 8):
         for p in partitions(n):
@@ -197,6 +211,16 @@ def test_block_rules_disjoint_and_raise_des():
                     y = mv.apply(t)
                     assert y.maj() == t.maj() + 1
                     assert y.des() == t.des() + 1
+    # _block_rule rejects a filling on _abc before its matchers run, and
+    # stops at the first match; it still gives the one rule that matches,
+    # at t and at t' (the arrays swapped)
+    for n in range(11):
+        for p in partitions(n):
+            for t in enumerate_tableaux(p):
+                for arrays in t.coords(), t.coords()[::-1]:
+                    rules = [mv for mv in mutations._block_matches(*arrays) if mv is not None]
+                    assert mutations._block_rule(*arrays) == (rules[0] if rules else None), \
+                        t.to_text()
 
 
 def test_inverse_block_rule():
@@ -483,9 +507,12 @@ def spy_calls(monkeypatch, calls, owner, names):
 def test_strong_posets_read_rows_and_columns_only(monkeypatch):
     # Each node's arrays are built once, from its values tuple, and serve
     # the step at t and at t'; the build asks no Tableau for them or for maj.
+    # No rotation is made into a Move: each lands through its interval's
+    # table, so _positive_move is never called.
     calls, tableau_calls = Counter(), Counter()
     spy_calls(monkeypatch, calls, mutations, ("coords", "_positive_rotations",
-                                              "_negative_rotations", "_block_rule"))
+                                              "_negative_rotations", "_block_rule",
+                                              "_positive_move"))
     spy_calls(monkeypatch, tableau_calls, Tableau, ("coords", "maj", "transpose"))
     # self-conjugate: the step at t alone, its edges mirrored
     poset = build_poset(parse_partition("4,3,2,1"), "strong")
@@ -596,15 +623,19 @@ def test_maxmaj_prefix_matches_downward_peel():
 
 
 # Swapping 1 and 2 never leaves a standard filling; the empty cycle set
-# leaves the values, and so maj, as they are.
+# leaves the values, and so maj, as they are.  The strong step's rotation
+# triples (i, k, j) do the same on the rotation path: the rotation on [1, 2]
+# swaps 1 and 2, and the one on [1, 1] fixes every value.
 SWAP_1_2 = Move("B1", ((1, 2),))
 IDENTITY = Move("B1", ())
+ROTATE_1_2 = ([(1, 2, 2)], None)
+ROTATE_1_1 = ([(1, 1, 1)], None)
 
 
 @pytest.mark.parametrize("shape", ["3,2,1", "3,3"])
 @pytest.mark.parametrize("target", ["_forward_moves", "_block_rule"])
 def test_strong_poset_raises_on_nonstandard_move(monkeypatch, shape, target):
-    fake = (lambda rows, cols: [SWAP_1_2]) if target == "_forward_moves" \
+    fake = (lambda rows, cols: ROTATE_1_2) if target == "_forward_moves" \
         else (lambda rows, cols: SWAP_1_2)
     monkeypatch.setattr(mutations, target, fake)
     with pytest.raises(ValueError, match="broke standardness"):
@@ -617,14 +648,14 @@ def test_strong_poset_checks_moves_at_the_transpose(monkeypatch):
     # can raise, and the error names t'.
     real = mutations._forward_moves
     monkeypatch.setattr(mutations, "_forward_moves",
-                        lambda rows, cols: real(rows, cols) if max(rows) <= 2 else [SWAP_1_2])
+                        lambda rows, cols: real(rows, cols) if max(rows) <= 2 else ROTATE_1_2)
     with pytest.raises(ValueError, match=r"broke standardness on 1,\d/2,\d/"):
         build_poset(parse_partition("4,2"), "strong")
 
 
 @pytest.mark.parametrize("target", ["_forward_moves", "_block_rule"])
 def test_strong_poset_checks_maj_on_every_edge(monkeypatch, target):
-    fake = (lambda rows, cols: [IDENTITY]) if target == "_forward_moves" \
+    fake = (lambda rows, cols: ROTATE_1_1) if target == "_forward_moves" \
         else (lambda rows, cols: IDENTITY)
     monkeypatch.setattr(mutations, target, fake)
     with pytest.raises(ValueError, match="changed maj by 0"):
