@@ -2,20 +2,19 @@
 and the strong/weak ranked poset structures they induce.
 
 All moves act on straight-shape standard tableaux by permuting values; a
-forward move raises the major index by exactly one.  A `Move` is applied
-by `Move.image`, which maps a values tuple, and `Move.apply` checks that
-the image is a standard filling.  The rotation scans, the block-rule
-matchers and phi's case analysis read each value's row and column from the
-arrays of `tableaux.coords`.
+forward move raises the major index by exactly one.  `Move.image` is the
+one way a move is applied: it maps a values tuple through the successor
+map each `Move` builds once, and `Move.apply` checks that the image is a
+standard filling.  A rotation's `Move` is cached per (i, k, j) triple.  The
+rotation scans, the block-rule matchers and phi's case analysis read each
+value's row and column from the arrays of `tableaux.coords`.
 
 A `build_poset` node is its values tuple, sorted with the maj that
-`tableaux.fillings` yields.  A cover is a move's image of a node's values
-plus one dict lookup.  The strong step makes no `Move` for a rotation: the
-scan gives its interval [i, k], and the values map through that interval's
-table, `_interval_shift`.  A block move and phi's move go through
-`Move.image`.  The ground set is every standard filling minus, for a big
-rectangle, the two extremes, so a lookup that misses and is not one of
-those two is a filling the move left non-standard, and it raises.
+`tableaux.fillings` yields.  Both steps return `Move`s, and a cover is a
+move's image of a node's values plus one dict lookup.  The ground set is
+every standard filling minus, for a big rectangle, the two extremes, so a
+lookup that misses and is not one of those two is a filling the move left
+non-standard, and it raises.
 
 The negative-rotation conditions are the positive ones on the
 anti-transposed filling: rows and columns swapped and each value v read as
@@ -37,6 +36,7 @@ which scans the negative rotations at t itself, is `verify.strong_covers`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from math import comb
 from operator import itemgetter
 from typing import Iterator
@@ -61,7 +61,9 @@ class PhiBranchError(RuntimeError):
 class Move:
     """One mutation: a value permutation given as disjoint cycles, where each
     cycle entry maps to its successor (and the last wraps to the first).
-    Reversing every cycle gives the inverse move."""
+    Reversing every cycle gives the inverse move.  The successor map is
+    built on first use and is no field: it takes no part in ==, hash or
+    repr."""
 
     kind: str  # positive_rotation | negative_rotation | B1..B5 | inv_transpose_B*
     cycles: tuple[tuple[int, ...], ...]
@@ -69,9 +71,13 @@ class Move:
     descent: int | None = None  # rotations: the moving descent j
     params: tuple = ()  # block rules: rule-specific parameters
 
+    @cached_property
+    def _successor(self) -> dict[int, int]:
+        return {a: b for cyc in self.cycles for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+
     def image(self, values: tuple[int, ...]) -> tuple[int, ...]:
         """The values with each cycle entry replaced by its successor."""
-        succ = {a: b for cyc in self.cycles for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+        succ = self._successor
         return tuple(map(succ.get, values, values))
 
     def apply(self, t: Tableau) -> Tableau:
@@ -80,10 +86,12 @@ class Move:
         return Tableau(t.shape, self.image(t.values))
 
 
+@cache
 def _positive_move(i: int, k: int, j: int) -> Move:
     return Move("positive_rotation", (tuple(range(i, k + 1)),), interval=(i, k), descent=j)
 
 
+@cache
 def _negative_move(i: int, k: int, j: int) -> Move:
     return Move("negative_rotation", (tuple(range(k, i - 1, -1)),), interval=(i, k), descent=j)
 
@@ -544,17 +552,11 @@ def phi(t: Tableau) -> Tableau:
 # posets
 
 
-def _forward_moves(rows: list[int], cols: list[int]) -> tuple[list[tuple], Move | None]:
-    """The strong step: the positive rotations (i, k, j) and the block rule
-    of the filling whose values sit at these rows and columns."""
-    return _positive_rotations(rows, cols), _block_rule(rows, cols)
-
-
-def _interval_shift(n: int, i: int, k: int) -> tuple[int, ...]:
-    """The positive rotation on [i, k] as a table on the values 0..n: a to
-    a+1 for i <= a < k, k to i, and every other value fixed.  Mapping a
-    values tuple through it gives the rotation's `Move.image`."""
-    return (*range(i), *range(i + 1, k + 1), i, *range(k + 1, n + 1))
+def _forward_moves(rows: list[int], cols: list[int]) -> list[Move]:
+    """The strong step: the positive rotations and the block rule of the
+    filling whose values sit at these rows and columns."""
+    mv = _block_rule(rows, cols)
+    return [_positive_move(*r) for r in _positive_rotations(rows, cols)] + ([mv] if mv else [])
 
 
 @dataclass(frozen=True)
@@ -615,13 +617,12 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
     of `fillings`, sorted by maj and row reading word, less the first and
     last (the unique min-maj and max-maj fillings) on a big rectangle.  Every
     step is a value permutation, and permuting values commutes with
-    transposition, so both steps land on an image of t's own values, looked
-    up by value tuple (see the module docstring); each interval's table is
-    made once per build.  A miss that is not an excluded extreme raises, and
-    so does an edge that does not change maj by one: ValueError as
-    Move.apply does in the strong order, PhiBranchError as phi does in the
-    weak one.  A rotation's Move is made only for those errors, and Tableau
-    objects only for them and for `elements`.
+    transposition, so both steps land on `Move.image` of t's own values,
+    looked up by value tuple (see the module docstring).  A miss that is not
+    an excluded extreme raises, and so does an edge that does not change maj
+    by one: ValueError as Move.apply does in the strong order,
+    PhiBranchError as phi does in the weak one.  Tableau objects are made
+    only for those errors and for `elements`.
 
     When p is self-conjugate, t' is node tr[i] of the ground set, so the
     step is taken at t alone and each of its edges (i, j) also gives the
@@ -643,44 +644,26 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
         skip_up = {e.values for e in exceptional_set(p)}
         skip_down = {e.transpose().values for e in exceptional_set(conj)}
 
-        def step(rows: list[int], cols: list[int]) -> tuple[tuple, Move]:
-            return (), _phi_move(rows, cols)
+        def step(rows: list[int], cols: list[int]) -> list[Move]:
+            return [_phi_move(rows, cols)]
     else:
         raise ValueError(f"unknown poset flavor {flavor!r}")
 
-    def land(i: int, key: tuple[int, ...], rise: int, mv: Move | tuple) -> int | None:
-        """Index of the node key, mv's image of ground[i], None for an
-        excluded extreme; mv is a Move or a rotation triple.  The move acts
-        on ground[i] (rise 1) or on its transpose (rise -1), whose maj is
-        C(n,2) less ground[i]'s, so it must change ground[i]'s maj by
-        `rise`."""
+    def land(i: int, mv: Move, rise: int) -> int | None:
+        """Index of the node mv takes ground[i] to, None for an excluded
+        extreme.  The move acts on ground[i] (rise 1) or on its transpose
+        (rise -1), whose maj is C(n,2) less ground[i]'s, so it must change
+        ground[i]'s maj by `rise`."""
+        key = mv.image(ground[i])
         j = index.get(key)
         maj = majs[j] if j is not None else outside.get(key)
         if maj is not None and rise * (maj - majs[i]) == 1:
             return j
-        if not isinstance(mv, Move):
-            mv = _positive_move(*mv)
         t = Tableau(p, ground[i], check=False)
         source = (t if rise > 0 else t.transpose()).to_text()
         if maj is None:
             raise fault(f"{mv} broke standardness on {source}")
         raise fault(f"{mv} changed maj by {rise * (maj - majs[i])} on {source}")
-
-    shifts: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def targets(i: int, rows: list[int], cols: list[int], rise: int) -> list[int]:
-        """The nodes the step on these arrays takes ground[i] to."""
-        v = ground[i]
-        rotations, mv = step(rows, cols)
-        out = []
-        for r in rotations:
-            ik = r[:2]
-            table = shifts.get(ik) or shifts.setdefault(ik, _interval_shift(p.n, *ik))
-            if (j := land(i, tuple(map(table.__getitem__, v)), rise, r)) is not None:
-                out.append(j)
-        if mv is not None and (j := land(i, mv.image(v), rise, mv)) is not None:
-            out.append(j)
-        return out
 
     flip = itemgetter(*mirror) if p.n > 1 else tuple
     tr = [index[flip(v)] for v in ground] if mirrored else []
@@ -688,13 +671,15 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
     for i, v in enumerate(ground):
         rows, cols = coords(p.cells, v)  # built once, for both steps
         if v not in skip_up:
-            for j in targets(i, rows, cols, 1):
-                covers[i].append(j)
-                if mirrored:
-                    covers[tr[j]].append(tr[i])
+            for mv in step(rows, cols):
+                if (j := land(i, mv, 1)) is not None:
+                    covers[i].append(j)
+                    if mirrored:
+                        covers[tr[j]].append(tr[i])
         if not mirrored and v not in skip_down:
-            for j in targets(i, cols, rows, -1):
-                covers[j].append(i)
+            for mv in step(cols, rows):
+                if (j := land(i, mv, -1)) is not None:
+                    covers[j].append(i)
     elements = tuple(Tableau(p, v, check=False) for v in ground)
     return SytPoset(flavor, p, elements, majs, tuple(tuple(sorted(set(c))) for c in covers))
 

@@ -5,6 +5,9 @@ methods it lists in METHODS, and reads some of them back by name:
 `tableaux.enumerate_tableaux`, `tableaux.canonical_orbit_tableaux` and the
 METHODS of QPoly, Tableau and BlockShape.  Deleting one of them, or making
 it private, makes every traced run raise KeyError.
+
+`bench/run.py` clears every functools cache of the loaded sytmaj modules
+before each round, so that each round starts cold.
 """
 import json
 import sys
@@ -12,6 +15,8 @@ from pathlib import Path
 
 import sytmaj.genfun
 import sytmaj.tableaux
+from sytmaj import mutations
+from sytmaj.shapes import parse_partition
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = str(ROOT / "bench")
@@ -39,3 +44,18 @@ def test_tracer_installs_and_reports_every_metric():
     declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     assert set(out) <= declared
     assert all(name.startswith("trace.") for name in declared - set(out))
+
+
+def test_bench_rounds_clear_the_rotation_move_caches():
+    sys.path.insert(0, BENCH)
+    try:
+        import run
+    finally:
+        sys.path.remove(BENCH)
+    caches = run.sytmaj_caches()
+    assert mutations._positive_move in caches and mutations._negative_move in caches
+    mutations.build_poset(parse_partition("4,2,1"), "strong")
+    assert mutations._positive_move.cache_info().currsize > 0
+    for c in caches:
+        c.cache_clear()
+    assert mutations._positive_move.cache_info().currsize == 0

@@ -112,18 +112,39 @@ def test_rotation_moves_golden_to_n9():
         "49ae9ad92ab933388b91dfdda0fc35c81b8f94df411dba88ae79b806a8e8d8d9"
 
 
-def test_rotations_land_through_their_interval_shift():
-    # The strong build maps a values tuple through the rotation's interval
-    # table, where Move.image would map it through the cycle: same image,
-    # at t and at t' (the arrays swapped).
-    for n in range(10):
+def cycle_image(mv, values):
+    """Each value replaced by its successor in mv's cycles, read off the
+    cycles one value at a time."""
+    out = []
+    for v in values:
+        for cyc in mv.cycles:
+            if v in cyc:
+                v = cyc[(cyc.index(v) + 1) % len(cyc)]
+                break
+        out.append(v)
+    return tuple(out)
+
+
+def test_move_successor_map_is_invisible():
+    # Each Move builds its successor map once, on its first image.  The map
+    # gives the cycle definition on every call, and takes no part in ==,
+    # hash or repr: error messages print moves, and the inverse-block-move
+    # oracle dedupes them by equality.
+    for n in range(9):
         for p in partitions(n):
+            skip = exceptional_set(p)
             for t in enumerate_tableaux(p):
-                for arrays in t.coords(), t.coords()[::-1]:
-                    for i, k, j in mutations._positive_rotations(*arrays):
-                        table = mutations._interval_shift(n, i, k)
-                        assert tuple(map(table.__getitem__, t.values)) == \
-                            mutations._positive_move(i, k, j).image(t.values), (t.to_text(), i, k)
+                moves = positive_rotations(t) + negative_rotations(t)
+                moves += [mv for mv in [block_rule(t)] if mv is not None]
+                if t not in skip:
+                    moves.append(phi_move(t))
+                for mv in moves:
+                    first = mv.image(t.values)
+                    assert mv.image(t.values) == first == cycle_image(mv, t.values), \
+                        (t.to_text(), mv)
+                    fresh = Move(mv.kind, mv.cycles, mv.interval, mv.descent, mv.params)
+                    assert mv == fresh and hash(mv) == hash(fresh), (t.to_text(), mv)
+                    assert repr(mv) == repr(fresh), (t.to_text(), mv)
 
 
 def test_rotation_descent_slide():
@@ -507,12 +528,15 @@ def spy_calls(monkeypatch, calls, owner, names):
 def test_strong_posets_read_rows_and_columns_only(monkeypatch):
     # Each node's arrays are built once, from its values tuple, and serve
     # the step at t and at t'; the build asks no Tableau for them or for maj.
-    # No rotation is made into a Move: each lands through its interval's
-    # table, so _positive_move is never called.
+    # Each rotation's Move is made once per (i, k, j) triple and then comes
+    # from the cache.
     calls, tableau_calls = Counter(), Counter()
+    triples = set()
+    scan, make_move = mutations._positive_rotations, mutations._positive_move
+    monkeypatch.setattr(mutations, "_positive_rotations",
+                        lambda rows, cols: triples.update(found := scan(rows, cols)) or found)
     spy_calls(monkeypatch, calls, mutations, ("coords", "_positive_rotations",
-                                              "_negative_rotations", "_block_rule",
-                                              "_positive_move"))
+                                              "_negative_rotations", "_block_rule"))
     spy_calls(monkeypatch, tableau_calls, Tableau, ("coords", "maj", "transpose"))
     # self-conjugate: the step at t alone, its edges mirrored
     poset = build_poset(parse_partition("4,3,2,1"), "strong")
@@ -521,10 +545,13 @@ def test_strong_posets_read_rows_and_columns_only(monkeypatch):
     # otherwise the step again at t', on the same arrays swapped: no negative
     # scan and no transposed tableau
     calls.clear()
+    triples.clear()
+    make_move.cache_clear()
     poset = build_poset(parse_partition("5,2,2,1"), "strong")
     nodes = len(poset.elements)
     assert calls == {"coords": nodes, "_positive_rotations": 2 * nodes,
                      "_block_rule": 2 * nodes}
+    assert make_move.cache_info().misses == len(triples) > 0
     assert tableau_calls == {}
 
 
@@ -624,12 +651,12 @@ def test_maxmaj_prefix_matches_downward_peel():
 
 # Swapping 1 and 2 never leaves a standard filling; the empty cycle set
 # leaves the values, and so maj, as they are.  The strong step's rotation
-# triples (i, k, j) do the same on the rotation path: the rotation on [1, 2]
-# swaps 1 and 2, and the one on [1, 1] fixes every value.
+# moves do the same: the rotation on [1, 2] swaps 1 and 2, and the one on
+# [1, 1] fixes every value.
 SWAP_1_2 = Move("B1", ((1, 2),))
 IDENTITY = Move("B1", ())
-ROTATE_1_2 = ([(1, 2, 2)], None)
-ROTATE_1_1 = ([(1, 1, 1)], None)
+ROTATE_1_2 = [mutations._positive_move(1, 2, 2)]
+ROTATE_1_1 = [mutations._positive_move(1, 1, 1)]
 
 
 @pytest.mark.parametrize("shape", ["3,2,1", "3,3"])
