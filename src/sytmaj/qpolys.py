@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cache
 from math import prod
 from typing import Iterable, NamedTuple
 
@@ -288,11 +287,7 @@ def q_binomial(n: int, k: int) -> QPoly:
 def q_multinomial(n: int, alpha) -> QPoly:
     """[n]_q! / prod [alpha_i]_q!, with the zero convention for negative
     entries; alpha must sum to n otherwise."""
-    return _q_multinomial(n, tuple(alpha))
-
-
-@cache
-def _q_multinomial(n: int, alpha: tuple[int, ...]) -> QPoly:
+    alpha = tuple(alpha)
     if any(a < 0 for a in alpha):
         return QPoly.zero()
     if sum(alpha) != n:

@@ -1,13 +1,18 @@
 """Enumeration oracles and the verification suites behind `sytmaj verify`.
 
 Every closed formula in the package is re-derived here independently:
-standard-filling counts, word enumeration, exhaustive move application,
-(for the q-hook-length product) cyclotomic factors multiplied out, or (for
-the deformed and partial sum multinomials) their defining sums of deletion
-terms and the rational definition by exact division.  Two closed forms live
-here only as oracles: single coefficients of SYT(lambda)^maj as polynomials
-in the hook multiplicities H_i (`coefficient_via_H`), and the Mahonian
-counts by a signed sum over partitions (`mahonian_count`).
+standard-filling counts, the first-letter recursion on words, exhaustive
+move application, (for the q-hook-length product) cyclotomic factors
+multiplied out, or (for the deformed and partial sum multinomials) their
+defining sums of deletion terms and the rational definition by exact
+division.  `_deletion_sum` is the one sum over first letters i <= k of
+q**(alpha_1 + ... + alpha_(i-1)) * W(alpha - e_i): W is the cached inversion
+count of a content in the word oracle, which counts each content once and
+only adds and shifts, and the cached q-multinomial in the two others.  Two
+closed forms live here only as oracles: single coefficients of
+SYT(lambda)^maj as polynomials in the hook multiplicities H_i
+(`coefficient_via_H`), and the Mahonian counts by a signed sum over
+partitions (`mahonian_count`).
 The tableau oracles share one count of the standard fillings by (maj, des),
 `_corner_counts`, built by placing n, n-1, ..., 1 into the outer corners of
 the cells still empty.  It counts each state (bitmask of the empty cells,
@@ -389,64 +394,45 @@ def mahonian_count(n: int, d: int) -> int:
     return total
 
 
+def _deletion_sum(alpha: tuple[int, ...], k: int, weight: Callable) -> QPoly:
+    """The sum over the letters i <= k that alpha holds of
+    q**(alpha_1 + ... + alpha_(i-1)) * weight(alpha - e_i): the words of
+    content alpha that start with i, each weighted by what follows.  k is
+    clamped to len(alpha)."""
+    out = QPoly.zero()
+    prefix = 0
+    for i in range(min(k, len(alpha))):
+        if alpha[i]:
+            rest = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            out = out + weight(rest).shift(prefix)
+        prefix += alpha[i]
+    return out
+
+
 @cache
-def _word_buckets(alpha: tuple[int, ...]) -> dict[int, Counter]:
-    """For positive content alpha: bucket words by first letter, counting by
-    inversion number.  Inversions are accumulated letter by letter."""
-    m = len(alpha)
-    buckets: dict[int, Counter] = {i: Counter() for i in range(1, m + 1)}
-    counts = list(alpha)
-    placed = [0] * (m + 1)
-
-    def rec(remaining: int, inv: int, first: int) -> None:
-        if remaining == 0:
-            buckets[first][inv] += 1
-            return
-        for x in range(1, m + 1):
-            if counts[x - 1]:
-                add = sum(placed[y] for y in range(x + 1, m + 1))
-                counts[x - 1] -= 1
-                placed[x] += 1
-                rec(remaining - 1, inv + add, first if first else x)
-                counts[x - 1] += 1
-                placed[x] -= 1
-
-    rec(sum(alpha), 0, 0)
-    return buckets
+def _inversions(content: tuple[int, ...]) -> QPoly:
+    """Inversion generating function of the words of a content: a word that
+    starts with i has one inversion for each smaller letter after it."""
+    if not any(content):
+        return QPoly.one()
+    return _deletion_sum(content, len(content), _inversions)
 
 
 def word_inv_oracle(alpha: tuple[int, ...], k: int) -> QPoly:
     """Inversion generating function of words of content alpha with first
-    letter at most k, by exhaustive enumeration."""
-    positive = tuple(a for a in alpha if a)
-    if not positive:
-        return QPoly.zero()  # no nonempty word, so no admissible first letter
-    # letter i of the squeezed alphabet corresponds to the i-th positive slot
-    slots = [i for i, a in enumerate(alpha, 1) if a]
-    buckets = _word_buckets(positive)
-    total: Counter = Counter()
-    for sq_letter, orig in enumerate(slots, 1):
-        if orig <= k:
-            total.update(buckets[sq_letter])
-    return QPoly.from_terms(total)
+    letter at most k, by the first-letter recursion on words."""
+    return _deletion_sum(tuple(alpha), k, _inversions)
 
 
-def _dec(alpha: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """Decrease entry i (1-based); may go negative, triggering the zero
-    convention in the multinomial."""
-    return alpha[: i - 1] + (alpha[i - 1] - 1,) + alpha[i:]
+@cache
+def _multinomial(alpha: tuple[int, ...]) -> QPoly:
+    """[n; alpha] for the oracles, once per content."""
+    return q_multinomial(sum(alpha), alpha)
 
 
 def partial_sum_multinomial_by_sum(alpha, k: int) -> QPoly:
     """The defining sum over the first k deletion positions."""
-    alpha = tuple(alpha)
-    n = sum(alpha)
-    out = QPoly.zero()
-    prefix = 0
-    for i in range(1, k + 1):
-        out = out + q_multinomial(n - 1, _dec(alpha, i)).shift(prefix)
-        prefix += alpha[i - 1]
-    return out
+    return _deletion_sum(tuple(alpha), k, _multinomial)
 
 
 def q_mult_recurrence_check(alpha) -> bool:
@@ -470,13 +456,7 @@ def deformed_multinomial_by_deletion(alpha, d: int) -> QPoly:
         return QPoly.one()  # the deletion recurrence needs a letter to delete
     out = QPoly.zero()
     for beta in rotation_class(alpha, d):
-        inner = QPoly.zero()
-        prefix = 0
-        for v in range(1, m // d + 1):
-            inner = inner + substitute_power(
-                q_multinomial(n - 1, _dec(beta, v)), m
-            ).shift(m * prefix)
-            prefix += beta[v - 1]
+        inner = substitute_power(partial_sum_multinomial_by_sum(beta, m // d), m)
         out = out + inner.shift(b_composition(beta))
     return out
 
@@ -492,7 +472,7 @@ def deformed_multinomial_rational(alpha, d: int) -> QPoly:
     num = QPoly.zero()
     for beta in rotation_class(alpha, d):
         num = num + QPoly.monomial(b_composition(beta))
-    num = num * substitute_power(q_multinomial(n, alpha), m)
+    num = num * substitute_power(_multinomial(alpha), m)
     if n == 0:
         den = QPoly(0, (d,))  # [d] at q**0 degenerates to the constant d
     else:
@@ -665,7 +645,7 @@ def _check_gmdn_block(arg: tuple[BlockShape, int, int]) -> tuple[str, bool, str]
 
 def _check_composition(alpha: tuple[int, ...]) -> tuple[int, list[tuple[str, bool, str]]]:
     """Every deformed multinomial of alpha against the rational and the
-    deletion-term oracles, and every partial sum against word enumeration."""
+    deletion-term oracles, and every partial sum against the word oracle."""
     m = len(alpha)
     bad = []
     checked = 0

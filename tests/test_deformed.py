@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, strategies as st
 
 import sytmaj.deformed
 import sytmaj.genfun
+import sytmaj.qpolys
+import sytmaj.verify
 from sytmaj.deformed import (
     deformed_multinomial,
     partial_sum_multinomial,
@@ -21,6 +25,7 @@ from sytmaj.qpolys import (
     substitute_power,
 )
 from sytmaj.shapes import BlockShape, DNotDividingM, Partition, b_composition, parse_blocks
+from sytmaj.tableaux import word_inv
 from sytmaj.verify import (
     block_shapes,
     deformed_multinomial_by_deletion,
@@ -135,6 +140,37 @@ def test_partial_sum_matches_word_oracle_small():
             for alpha in weak_compositions(n, m):
                 for k in range(1, m + 1):
                     assert partial_sum_multinomial(alpha, k) == word_inv_oracle(alpha, k)
+
+
+def test_word_oracle_matches_brute_force():
+    # every distinct word, counted by inversions; k = 0 admits no word and
+    # k > m every word
+    for n in range(7):
+        for m in range(1, 5):
+            for alpha in weak_compositions(n, m):
+                content = [i for i, a in enumerate(alpha, 1) for _ in range(a)]
+                words = set(itertools.permutations(content))
+                for k in range(m + 2):
+                    want = Counter(word_inv(w) for w in words if w and w[0] <= k)
+                    assert word_inv_oracle(alpha, k) == QPoly.from_terms(want), (alpha, k)
+
+
+def test_word_oracle_reads_no_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the word oracle reached the expansion kernel")
+
+    cases = [((2, 1, 1, 1), 4), ((3, 0, 2, 1), 3), ((0, 2, 0, 1), 2), ((4, 1, 0), 3), ((0, 0), 2)]
+    want = [word_inv_oracle(a, k) for a, k in cases]
+    for obj in vars(sytmaj.verify).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+    with monkeypatch.context() as mp:
+        for module in (sytmaj.qpolys, sytmaj.verify):
+            for name in ("expand", "q_multinomial", "multinomial_exponents"):
+                if hasattr(module, name):
+                    mp.setattr(module, name, refuse)
+        got = [word_inv_oracle(a, k) for a, k in cases]
+    assert got == want
 
 
 def test_partial_sum_shape_facts():

@@ -199,6 +199,26 @@ def test_a_warm_corner_table_does_not_hide_a_fault(monkeypatch):
     assert [r.name for r in rows] == shapes
 
 
+def test_warm_multinomial_caches_do_not_hide_a_fault(monkeypatch):
+    cases = V._compositions(4, 6)
+    rows, ok = V.run_suites(["deformed"], max_n=4, threads=1)
+    assert ok and len(rows) == 1 and rows[0].name.endswith(" deformed checks")
+    assert V._inversions.cache_info().currsize > 0 and V._multinomial.cache_info().currsize > 0
+    for name, want in (
+        ("partial_sum_multinomial",
+         [f"p alpha={a} k={k}" for a in cases for k in range(1, len(a) + 1)]),
+        ("deformed_multinomial",
+         [f"alpha={a} d={d}" for a in cases for d in range(1, len(a) + 1) if len(a) % d == 0]),
+    ):
+        # + 1, not a shift: a shift leaves the zero polynomial as it is
+        library = getattr(V, name)
+        with monkeypatch.context() as mp:
+            mp.setattr(V, name, lambda *args, f=library: f(*args) + QPoly.one())
+            rows, ok = V.run_suites(["deformed"], max_n=4, threads=1)
+        assert not ok and not any(r.ok for r in rows)
+        assert [r.name for r in rows] == want, name
+
+
 @pytest.mark.parametrize("text", ["6,5,4,3,2", "5,5,5,5", "7,6,4,2,1", "10,10"])
 def test_type_a_oracles_at_the_cell_bound(text):
     # 20 cells: up to 1.4e8 fillings, past what the walk can visit
