@@ -19,7 +19,8 @@ non-standard, and it raises.
 The negative-rotation conditions are the positive ones on the
 anti-transposed filling: rows and columns swapped and each value v read as
 n+1-v.  `_negative_rotations` is the positive scan run on that filling, so
-the rotation conditions live in one scan.
+the rotation conditions live in one scan.  Its rectangle tests compare
+rows, and one compares columns (see `_positive_rotations`).
 
 Each order is one step, taken at t and at its transpose t' (see
 `build_poset`): the positive rotations and the block rule for the strong
@@ -100,53 +101,51 @@ def _negative_move(i: int, k: int, j: int) -> Move:
 # rotation rules
 #
 # The scans read each value's row and column from the arrays of
-# `tableaux.coords`.  Entries 0 and n+1 hold the sentinel 0, which no cell
-# has, so the values just outside 1..n lie in no rectangle.
-
-
-def _in_rect(rows: list[int], cols: list[int], v: int, a: int, b: int) -> bool:
-    """Is value v inside the closed cell-rectangle spanned by values a, b?"""
-    r, ra, rb = rows[v], rows[a], rows[b]
-    c, ca, cb = cols[v], cols[a], cols[b]
-    return (ra <= r <= rb or rb <= r <= ra) and (ca <= c <= cb or cb <= c <= ca)
+# `tableaux.coords`.  Entries 0 and n+1 hold the sentinel row 0, above every
+# row of a filling but below every row of the anti-transposed arrays that
+# `_negative_rotations` passes (-c <= -1); each row test of the scan reads a
+# sentinel as outside its rectangle in both orientations.
 
 
 def _positive_rotations(rows: list[int], cols: list[int]) -> list[tuple[int, int, int]]:
     """(i, k, j): interval [i, k] and moving descent j of each positive rotation."""
     n = len(rows) - 2
     moves = []
-    # In a standard filling the rows of v-1 and v decide their columns: v
-    # below v-1 sits weakly west of it, and v weakly above v-1 sits strictly
-    # east of it.  So each strip test below reads the rows alone.
+    # Standard fillings let rows decide all rectangle tests but one.  F1: v
+    # below v-1 sits weakly west of it, v weakly above v-1 strictly east.  F2:
+    # a strictly north-west of b puts a value between them at (a's row, b's col).
     for j in range(2, n + 1):
         # j-1, j in a common vertical strip
         if rows[j] <= rows[j - 1]:
             continue
-        lefts = [j, j - 1]
-        i = j - 1
-        # i-1, i in a common horizontal strip
-        while i >= 2 and rows[i] <= rows[i - 1]:
-            i -= 1
-            lefts.append(i)
         last = j
         while last < n and rows[last + 1] <= rows[last]:
             last += 1
-        # the right end k alone decides its condition: k strictly north-east
-        # of k-1 with k+1 outside their rectangle, or k = j with k+1 inside
+        # The right end k alone decides its condition: k strictly north-east
+        # of k-1 with k+1 outside their rectangle, or k = j with k+1 inside.
+        # k > j: k+1 weakly above k is east of k (F1); below k and at or above
+        # k-1's row, east of k-1.  k = j: k+1 in j-1's row is east of it; below
+        # it, east of j (F1), and east of j-1 only if F2 put j in its row.
         rights = [k for k in range(j, last + 1) if (
-            rows[k] < rows[k - 1] and not _in_rect(rows, cols, k + 1, k, k - 1)
-            if j < k else _in_rect(rows, cols, k + 1, k, k - 1))]
-        for i in lefts:
-            for k in rights:
-                if i >= k:
-                    continue
-                if i < j:  # i strictly north-east of k, i-1 outside their rectangle
-                    if not (rows[i] < rows[k] and cols[i] > cols[k]) \
-                            or _in_rect(rows, cols, i - 1, i, k):
-                        continue
-                elif not _in_rect(rows, cols, i - 1, i, k):
-                    continue
-                moves.append((i, k, j))
+            rows[k] < rows[k - 1] and not rows[k] < rows[k + 1] <= rows[k - 1]
+            if j < k else rows[j - 1] < rows[j + 1] <= rows[j])]
+        if not rights:
+            continue
+        # i = j: j-1 inside the rectangle of j and k.  A k at or above j-1's
+        # row is larger, so east of it; this rejects k = j, below j-1.
+        moves += [(j, k, j) for k in rights if rows[k] <= rows[j - 1]]
+        # i-1, i in a common horizontal strip for first < i < j; the guard
+        # first >= 2 is needed, as the anti-transposed sentinel is below all rows
+        first = j - 1
+        while first >= 2 and rows[first] <= rows[first - 1]:
+            first -= 1
+        # i < j: i strictly north-east of k (a smaller value east of k is north
+        # of it), i-1 outside their rectangle.  i-1 at or below i's row is west
+        # of i (F1); west of k too, F2 puts one of i..k-1 at (i-1's row, k's
+        # col), but i is east of k, i+1..j-1 above i's row or east of i in it,
+        # and j..k-1 west of k (F1).
+        moves += [(i, k, j) for i in range(j - 1, first - 1, -1) for k in rights
+                  if cols[i] > cols[k] and not rows[i] <= rows[i - 1] < rows[k]]
     return moves
 
 
@@ -253,15 +252,14 @@ def _match_b1(rows: list[int], cols: list[int], abc: tuple[int, int, int]) -> Mo
     return _b1_move(a, b, c)
 
 
-def _match_b2(rows: list[int], cols: list[int], abc: tuple[int, int, int]) -> Move | None:
+def _match_b2(abc: tuple[int, int, int]) -> Move | None:
     a, b, c = abc
     if a < 2 or b < 2 or c >= a * b:
         return None
-    k = c - (b - 1) * a
+    # _abc reaches row b only through (b-1)a+1 at (b, 1), and stops at the
+    # largest c, so c sits at (b, c - (b-1)a) with c+1 not next to it.
     # Row b with a single cell belongs to the B3/B4/B5 patterns instead.
-    if k < 1 or (b == 2 and k == 1):
-        return None
-    if not _holds(rows, cols, c, b, k) or (k < a and _holds(rows, cols, c + 1, b, k + 1)):
+    if b == 2 and c == a + 1:
         return None
     return _b2_move(a, b, c)
 
@@ -280,13 +278,13 @@ def _match_b3(rows: list[int], cols: list[int], a: int) -> Move | None:
 
 
 def _column_run(rows: list[int], cols: list[int]) -> int:
-    """Largest r with T(1,2) = 2 and T(s,1) = s+1 for s = 2..r, else 0."""
+    """Largest r >= 1 with T(1,2) = 2 and T(s,1) = s+1 for s = 2..r; 0 if T(1,2) != 2."""
     if not _holds(rows, cols, 2, 1, 2):
         return 0
     r = 1
     while _holds(rows, cols, r + 2, r + 1, 1):
         r += 1
-    return r if r >= 2 else 0
+    return r
 
 
 def _match_b4(rows: list[int], cols: list[int]) -> Move | None:
@@ -307,10 +305,7 @@ def _match_b4(rows: list[int], cols: list[int]) -> Move | None:
 
 
 def _match_b5(rows: list[int], cols: list[int]) -> Move | None:
-    r = _column_run(rows, cols)
-    if r < 2:
-        return None
-    k = r + 1
+    k = _column_run(rows, cols) + 1
     if k <= 3:
         return None
     for rr in range(2, k):
@@ -326,7 +321,7 @@ def _block_matches(rows: list[int], cols: list[int]) -> Iterator[Move | None]:
     five, where `_block_rule` stops at the first."""
     abc = _abc(rows, cols)
     yield _match_b1(rows, cols, abc)
-    yield _match_b2(rows, cols, abc)
+    yield _match_b2(abc)
     yield _match_b3(rows, cols, abc[0])
     yield _match_b4(rows, cols)
     yield _match_b5(rows, cols)
@@ -340,7 +335,7 @@ def _block_rule(rows: list[int], cols: list[int]) -> Move | None:
     abc = _abc(rows, cols)
     if abc[0] < 2 or abc[1] < 2:
         return None
-    return (_match_b1(rows, cols, abc) or _match_b2(rows, cols, abc)
+    return (_match_b1(rows, cols, abc) or _match_b2(abc)
             or _match_b3(rows, cols, abc[0]) or _match_b4(rows, cols) or _match_b5(rows, cols))
 
 
@@ -456,7 +451,7 @@ def _phi_move(rows: list[int], cols: list[int]) -> Move:
                 # row b of the rectangle starts with (b-1)a+1
                 return _require(_find_rotation(rows, cols, (b - 1) * a + 1, c + 1),
                                 "rotation [row-b start, c+1] expected")
-            return _require(_match_b2(rows, cols, abc), "B2 expected")
+            return _require(_match_b2(abc), "B2 expected")
         if _holds(rows, cols, a + 2, 3, 1):
             k3 = 2
             while rows[a + k3 + 1] > rows[a + k3]:
@@ -532,7 +527,7 @@ def _phi_move(rows: list[int], cols: list[int]) -> Move:
         # is the move that works, as in the row-filled rectangle case.
         return _require(_find_rotation(rows, cols, (b2 - 1) * a2 + 1, c2 + 1),
                         "rotation [row-b start, c+1] expected")
-    return _require(_match_b2(rows, cols, abc), "B2 expected")
+    return _require(_match_b2(abc), "B2 expected")
 
 
 def phi(t: Tableau) -> Tableau:

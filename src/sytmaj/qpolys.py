@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, NamedTuple
@@ -41,7 +42,7 @@ class QPoly:
     coeffs: tuple[int, ...] = ()
 
     def __init__(self, offset: int = 0, coeffs: Iterable[int] = ()):
-        offset, coeffs = _normalize(offset, [int(c) for c in coeffs])
+        offset, coeffs = _normalize(operator.index(offset), list(map(operator.index, coeffs)))
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -47,6 +47,8 @@ def support_des(shape: Partition | SkewShape) -> SupportPrediction:
     """Descent-count support.  Straight shapes get the full interval from
     (max column length - 1) to (n - max row length); skew shapes only the
     endpoints, flagged unverified."""
+    if shape.n < 1:
+        raise ValueError("shape must be nonempty")
     if isinstance(shape, Partition):
         lo = shape.conjugate().part(1) - 1
         hi = shape.n - shape.part(1)

@@ -30,6 +30,7 @@ from sytmaj.tableaux import (
 from sytmaj.verify import (
     _candidate_block_moves,
     _inverse_block_moves,
+    block_shapes,
     inverse_transpose_block_moves,
     strong_covers,
 )
@@ -112,6 +113,32 @@ def test_rotation_moves_golden_to_n9():
         "49ae9ad92ab933388b91dfdda0fc35c81b8f94df411dba88ae79b806a8e8d8d9"
 
 
+def test_array_functions_golden_to_n9():
+    # sha256 of what the array-level scans, block matchers, block rule and
+    # phi return on every filling with 1 <= n <= 9, at its arrays and at the
+    # swapped arrays (its transpose); phi is skipped where it is undefined.
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 10):
+        for p in partitions(n):
+            skip = exceptional_set(p)
+            skip_t = {e.transpose().values for e in exceptional_set(p.conjugate())}
+            for t in enumerate_tableaux(p):
+                rows, cols = t.coords()
+                for r, c, ex in ((rows, cols, t in skip), (cols, rows, t.values in skip_t)):
+                    count += 1
+                    digest.update(repr((
+                        mutations._positive_rotations(r, c),
+                        mutations._negative_rotations(r, c),
+                        list(mutations._block_matches(r, c)),
+                        mutations._block_rule(r, c),
+                        None if ex else mutations._phi_move(r, c),
+                    )).encode())
+    assert count == 7470
+    assert digest.hexdigest() == \
+        "5762be268907766655956c3d33cf933f429898cd9aeb634c05541d402cbe186e"
+
+
 def cycle_image(mv, values):
     """Each value replaced by its successor in mv's cycles, read off the
     cycles one value at a time."""
@@ -159,20 +186,28 @@ def test_rotation_descent_slide():
 
 
 def test_rotations_on_skew_shapes():
+    # The scan's row tests rest on standardness and on skew convexity, which
+    # hold on every skew shape: check each nonempty lambda/mu with |lambda| <= 7
+    # and mu nonempty, each block shape of <= 5 cells in 2 or 3 blocks, and
+    # two larger skew shapes with |lambda| = 8.
     from sytmaj.shapes import SkewShape
     from sytmaj.tableaux import enumerate_tableaux as enum
 
-    shapes = [
-        SkewShape(Partition((3, 2)), Partition((1,))),
-        SkewShape(Partition((4, 3, 1)), Partition((2, 1))),
-        SkewShape(Partition((3, 3, 2)), Partition((2,))),
-    ]
+    shapes = [SkewShape(lam, mu) for n in range(2, 8) for lam in partitions(n)
+              for m in range(1, n) for mu in partitions(m) if lam.contains(mu)]
+    shapes += [b for m in (2, 3) for n in range(1, 6) for b in block_shapes(n, m)]
+    shapes += [SkewShape(Partition((4, 3, 1)), Partition((2, 1))),
+               SkewShape(Partition((3, 3, 2)), Partition((2,)))]
+    assert len(shapes) == 628
+    checked = 0
     for shape in shapes:
         for t in enum(shape):
             got_p = sorted((mv.interval, mv.descent) for mv in positive_rotations(t))
             got_n = sorted((mv.interval, mv.descent) for mv in negative_rotations(t))
-            assert got_p == oracle_rotations(t, +1)
-            assert got_n == oracle_rotations(t, -1)
+            assert got_p == oracle_rotations(t, +1), (str(shape), t.values)
+            assert got_n == oracle_rotations(t, -1), (str(shape), t.values)
+            checked += 1
+    assert checked == 3445
     with pytest.raises(ValueError):
         block_rule(next(enum(shapes[0])))
 

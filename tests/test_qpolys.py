@@ -263,6 +263,21 @@ def test_json_roundtrip():
     assert QPoly.from_json({"offset": 2, "coeffs": ["1", "1"]}) == QPoly(2, (1, 1))
 
 
+def test_coefficients_and_offset_must_be_integers():
+    # QPoly(0, [0.5, 1.5]) once read as q, truncating each float, and
+    # QPoly(0.5, [1]) as q^0.5.
+    for coeffs in ([0.5, 1.5], [2.9], [2.0], ["1"]):
+        with pytest.raises(TypeError):
+            QPoly(0, coeffs)
+    for offset in (0.5, 2.0, "1"):
+        with pytest.raises(TypeError):
+            QPoly(offset, [1])
+    p = QPoly(0, [True, False, 1, -(10**30)])
+    assert p.coeffs == (1, 0, 1, -(10**30))
+    assert all(type(c) is int for c in p.coeffs)
+    assert QPoly.from_json(p.to_json()) == p
+
+
 def test_eval_int():
     p = QPoly(1, (1, 2, 1))
     assert p.eval_int(2) == 2 + 8 + 8

@@ -48,6 +48,13 @@ def test_support_des_examples():
     assert strip.degrees == frozenset({0, 1})
 
 
+def test_support_des_rejects_empty_shapes():
+    # Both once predicted the degrees {-1, 0} for a filling with no cells.
+    for shape in (Partition(()), SkewShape(Partition((2, 1)), Partition((2, 1)))):
+        with pytest.raises(ValueError, match="nonempty"):
+            support_des(shape)
+
+
 def test_support_wreath_examples():
     # C_m wr S_n is G(m,1,n)
     pred = support_gmdn(parse_blocks("2|3,1"), 2, 1)
