@@ -31,8 +31,9 @@ build never runs the negative scan.  Both steps read only the row and
 column arrays, and t' is the same arrays swapped, so no step transposes a
 tableau.  On a self-conjugate shape transposition maps the ground set to
 itself and reverses maj, so there the step is taken at t alone and each
-edge is mirrored.  The candidate search for one tableau's strong covers,
-which scans the negative rotations at t itself, is `verify.strong_covers`.
+edge is mirrored.  `verify.strong_covers` finds one tableau's strong
+covers from the same definition, scanning the negative rotations at t
+itself and running the block rule over the conjugate shape's fillings.
 """
 from __future__ import annotations
 
@@ -66,7 +67,7 @@ class Move:
     built on first use and is no field: it takes no part in ==, hash or
     repr."""
 
-    kind: str  # positive_rotation | negative_rotation | B1..B5 | inv_transpose_B*
+    kind: str  # positive_rotation | negative_rotation | B1..B5
     cycles: tuple[tuple[int, ...], ...]
     interval: tuple[int, int] | None = None  # rotations: [i, k]
     descent: int | None = None  # rotations: the moving descent j

@@ -102,6 +102,8 @@ class QPoly:
         return sum(self.coeffs)
 
     def __add__(self, other: "QPoly") -> "QPoly":
+        if not isinstance(other, QPoly):
+            return NotImplemented
         if self.is_zero():
             return other
         if other.is_zero():
@@ -124,6 +126,8 @@ class QPoly:
     def __mul__(self, other) -> "QPoly":
         if isinstance(other, int):
             return QPoly(self.offset, tuple(other * c for c in self.coeffs))
+        if not isinstance(other, QPoly):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return QPoly.zero()
         a, b = self.coeffs, other.coeffs

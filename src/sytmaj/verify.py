@@ -31,9 +31,10 @@ shape with one nonempty block reads that partition's table.  One run of the
 `stanley`, `support-a` and `des` suites builds 271 tables, one per
 partition up to 12 cells, and `gmdn` then adds 212, 483 in all.  With
 --threads > 1 each worker process fills its own tables.  `strong_covers`
-finds one tableau's strong covers at the tableau itself, scanning its
-negative rotations and trying every candidate block move, for the poset
-suite to compare with `build_poset`'s.
+finds one tableau's strong covers from the strong order's definition, for
+the poset suite to compare with `build_poset`'s: it scans the negative
+rotations at the tableau itself, and reads the block rules into it at the
+transpose off one pass of `block_rule` over the conjugate shape's fillings.
 
 The suites are the rows of one table, `SUITES`.  A bounded row gives its
 default size bounds, its case generator and its per-case checks; one runner
@@ -58,12 +59,6 @@ from typing import Callable, Iterable, Iterator
 from .deformed import deformed_multinomial, partial_sum_multinomial, rotation_class
 from .genfun import gmdn_fake_degree, stanley, syt_count, wreath_fake_degree
 from .mutations import (
-    Move,
-    _b1_move,
-    _b2_move,
-    _b3_move,
-    _b4_move,
-    _b5_move,
     block_rule,
     build_poset,
     negative_rotations,
@@ -480,71 +475,31 @@ def deformed_multinomial_rational(alpha, d: int) -> QPoly:
     return divide_exact(num, den)
 
 
-def _candidate_block_moves(n: int) -> Iterator[Move]:
-    for a in range(2, n + 1):
-        for b in range(2, n // a + 1):
-            c = a * b
-            if c + 2 <= n and a < c - 2:
-                yield _b1_move(a, b, c)
-    for a in range(2, n + 1):
-        for b in range(2, n // a + 2):
-            for c in range((b - 1) * a + 1, min(a * b, n + 1)):
-                k = c - (b - 1) * a
-                if not (b == 2 and k == 1):
-                    yield _b2_move(a, b, c)
-    for a in range(3, n + 1):
-        for k in range(2, n - a):
-            if a + k + 2 <= n:
-                yield _b3_move(a, k)
-    for k in range(2, n + 1):
-        for l in range(3, n + 1):
-            if k * l + 1 <= n:
-                yield _b4_move(k, l)
-    for k in range(4, (n + 1) // 2 + 1):
-        if 2 * k - 1 <= n:
-            yield _b5_move(k)
-
-
-def _inverse_block_moves(v: Tableau) -> list[Move]:
-    """Block-rule moves whose application to some tableau yields v."""
-    if v.n < 2 or v.pos(2) != (2, 1):  # every block rule makes 1 a descent
-        return []
-    out = []
-    for mv in _candidate_block_moves(v.n):
-        try:  # the inverse move: every cycle reversed
-            u = Move(mv.kind, tuple(c[::-1] for c in mv.cycles)).apply(v)
-        except ValueError:  # it leaves no standard filling
-            continue
-        if u == v:
-            continue
-        mv2 = block_rule(u)
-        if mv2 is not None and mv2.apply(u) == v and mv2 not in out:
-            out.append(mv2)
+@cache
+def _block_preimages(p: Partition) -> dict[tuple[int, ...], list[Tableau]]:
+    """The block covers of every filling t of p, read at the transpose: t's
+    values map to each u' whose block rule takes u to t'."""
+    out = {}
+    for u in enumerate_tableaux(p.conjugate()):
+        if (mv := block_rule(u)) is not None:
+            out.setdefault(mv.apply(u).transpose().values, []).append(u.transpose())
     return out
 
 
-def inverse_transpose_block_moves(t: Tableau) -> list[Move]:
-    """Moves that transpose, undo a block rule, and transpose back.
-
-    Transposition leaves values fixed, so such a move acts on t directly by
-    the inverse of the underlying block permutation; it raises maj by one.
-    """
-    return [Move("inv_transpose_" + mv.kind, tuple(c[::-1] for c in mv.cycles), params=mv.params)
-            for mv in _inverse_block_moves(t.transpose())]
-
-
 def strong_covers(t: Tableau) -> list[Tableau]:
-    """Upper covers of t in the strong order: rotations, block rules, and
-    inverse-transpose block rules, kept inside the ground set.  Every move is
-    searched at t itself: the negative rotations are scanned here, where
-    `build_poset` reads them off the positive rotations at the transpose,
-    and the inverse-transpose block rules are found among every candidate
-    block move, where `build_poset` takes the block rule at the transpose."""
+    """Upper covers of t in the strong order, by its definition: s covers t
+    when the positive rotations or the block rule take t to s, or take s' to
+    t'.  The big-rectangle extremes are left out.  The rotation half still
+    scans the negative rotations at t itself, where `build_poset` reads them
+    off the positive rotations at t'.  The block half still calls
+    `block_rule`, so it stays shared with the build: at t, and once on every
+    filling of the conjugate shape (`_block_preimages`) for the rules that
+    take some s' to t'."""
     p = t.shape
     excl = {minmaj_tableau(p), maxmaj_tableau(p)} if p.is_big_rectangle() else set()
-    moves = (positive_rotations(t) + negative_rotations(t) + [block_rule(t)]
-             + inverse_transpose_block_moves(t))
+    moves = positive_rotations(t) + negative_rotations(t) + [block_rule(t)]
     out = {mv.apply(t) for mv in moves if mv is not None}
+    out.update(_block_preimages(p).get(t.values, ()))
     return sorted(out - excl, key=lambda y: y.row_reading_word())
 
 
@@ -612,7 +567,7 @@ def _check_poset(p: Partition) -> tuple[str, bool, str]:
     bad = [t.to_text() for t, ups in zip(strong.elements, strong.covers)
            if sorted(index[y.values] for y in strong_covers(t)) != list(ups)]
     if bad:
-        problems.append(f"strong covers differ from the candidate search at {bad[:3]}")
+        problems.append(f"build_poset's strong covers differ from strong_covers at {bad[:3]}")
     return str(p), not problems, "; ".join(problems)
 
 
@@ -684,8 +639,9 @@ def _map_maybe_parallel(fn: Callable, items: Iterable, threads: int) -> Iterable
         # imported here: multiprocessing would add some 36 modules to every
         # `import sytmaj.cli`, threaded or not
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * threads))))
+        workers = min(threads, len(items))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
     return map(fn, items)
 
 

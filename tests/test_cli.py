@@ -251,6 +251,30 @@ def test_every_bounded_suite_gets_threads(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_pool_has_no_more_workers_than_items(monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:  # records the pool size and starts no process
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert V._map_maybe_parallel(abs, [-1, -2], 8) == [1, 2]
+    assert V._map_maybe_parallel(abs, range(-5, 0), 3) == [5, 4, 3, 2, 1]
+    assert asked == [2, 3]
+
+
 def test_output_determinism():
     a = run_cli(["fakedeg", "--blocks", "2|3,1", "--m", "2", "--d", "2"])
     b = run_cli(["fakedeg", "--blocks", "2|3,1", "--m", "2", "--d", "2"])

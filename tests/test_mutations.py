@@ -27,13 +27,7 @@ from sytmaj.tableaux import (
     maxmaj_tableau,
     minmaj_tableau,
 )
-from sytmaj.verify import (
-    _candidate_block_moves,
-    _inverse_block_moves,
-    block_shapes,
-    inverse_transpose_block_moves,
-    strong_covers,
-)
+from sytmaj.verify import _block_preimages, block_shapes, strong_covers
 
 
 def oracle_rotations(t, sign):
@@ -217,17 +211,6 @@ def block_rule_all(t):
     return [mv for mv in mutations._block_matches(*t.coords()) if mv is not None]
 
 
-def inverse_block_rule(v):
-    """All tableaux u with a block rule taking u to v."""
-    return [Move(mv.kind, tuple(c[::-1] for c in mv.cycles)).apply(v)
-            for mv in _inverse_block_moves(v)]
-
-
-def inverse_transpose_block_covers(t):
-    """Covers of t obtained from the inverse-transpose block moves."""
-    return [mv.apply(t) for mv in inverse_transpose_block_moves(t)]
-
-
 def test_block_rule_small_known_cases():
     cases = [
         ([[1, 2, 3, 7], [4, 5, 6, 8]], "B1", [[1, 3, 4, 6], [2, 5, 7, 8]]),
@@ -280,21 +263,16 @@ def test_block_rules_disjoint_and_raise_des():
 
 
 def test_inverse_block_rule():
+    # the block rule takes t to v, so t' is the one block cover of v' read at
+    # the transpose, and it raises maj by one
     t = from_rows([[1, 2, 3, 7], [4, 5, 6, 8]])
     v = block_rule(t).apply(t)
-    assert inverse_block_rule(v) == [t]
-    assert inverse_block_rule(t) == []
-    # transposed route raises maj by one and is tagged as inverse-transpose
-    tt = t.transpose()
-    for mv in inverse_transpose_block_moves(tt):
-        assert mv.kind.startswith("inv_transpose_B")
-        assert mv.apply(tt).maj() == tt.maj() + 1
-    assert [mv.apply(tt) for mv in inverse_transpose_block_moves(tt)] == \
-        inverse_transpose_block_covers(tt)
-    # the transpose of a block-rule image recovers the original via the move
-    y = v.transpose()
-    moves = inverse_transpose_block_moves(y)
-    assert [mv.apply(y) for mv in moves] == [t.transpose()]
+    tt, vt = t.transpose(), v.transpose()
+    preimages = _block_preimages(vt.shape)
+    assert preimages[vt.values] == [tt]
+    assert tt.values not in preimages
+    assert tt in strong_covers(vt)
+    assert tt.maj() == vt.maj() + 1
 
 
 def test_phi_known_negative_rotation_cases():
@@ -436,26 +414,17 @@ def test_cover_functions_match_posets():
 
 
 def test_strong_poset_matches_per_tableau_covers():
-    # build_poset finds inverse-transpose covers by a forward block rule on
-    # each conjugate tableau; strong_covers searches the candidate moves.
-    for n in range(1, 9):
+    # build_poset runs each step at every node and at its transpose;
+    # strong_covers finds one tableau's covers at the tableau itself, scanning
+    # its negative rotations and running the block rule over the conjugate
+    # shape's fillings.
+    for n in range(1, 10):
         for p in partitions(n):
             poset = build_poset(p, "strong")
             index = {t: i for i, t in enumerate(poset.elements)}
             for i, t in enumerate(poset.elements):
                 got = sorted(index[y] for y in strong_covers(t))
                 assert got == list(poset.covers[i]), (p, t.to_text())
-
-
-def test_block_rule_outputs_are_candidates():
-    # The premise of the forward pass: the candidate search sees every move
-    # that block_rule can return.
-    for n in range(1, 10):
-        candidates = set(_candidate_block_moves(n))
-        for p in partitions(n):
-            for t in enumerate_tableaux(p):
-                mv = block_rule(t)
-                assert mv is None or mv in candidates, (p, t.to_text(), mv)
 
 
 @pytest.mark.parametrize("shape, flavor, digest", [

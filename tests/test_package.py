@@ -94,3 +94,12 @@ def test_only_verify_loads_counter():
                     or isinstance(node, ast.alias) and node.name == "Counter"):
                 loaders.add(path.name)
     assert loaders == {"verify.py"}
+
+
+def test_verify_imports_no_private_helper():
+    # the oracles reach the library through its public names only
+    tree = ast.parse((Path(sytmaj.__file__).parent / "verify.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -278,6 +278,21 @@ def test_coefficients_and_offset_must_be_integers():
     assert QPoly.from_json(p.to_json()) == p
 
 
+def test_arithmetic_rejects_unsupported_operands():
+    # Any operand that was not an int once reached `other.is_zero()` and
+    # raised AttributeError.
+    p = QPoly(0, [1])
+    for op in (lambda: p * 2.5, lambda: 2.5 * p, lambda: p * "a", lambda: "a" * p,
+               lambda: p + 1, lambda: 1 + p, lambda: p - 1, lambda: p + 0.5):
+        with pytest.raises(TypeError):
+            op()
+    q = QPoly(1, (2, -1))
+    assert q * 3 == 3 * q == QPoly(1, (6, -3))
+    assert q * True == True * q == q
+    assert q * False == QPoly.zero()
+    assert (q * 2) + q - q == q * 2
+
+
 def test_eval_int():
     p = QPoly(1, (1, 2, 1))
     assert p.eval_int(2) == 2 + 8 + 8
