@@ -21,6 +21,8 @@ from .shapes import (
     parse_blocks,
     parse_partition,
     partitions,
+    rotate_right,
+    rotation_class,
 )
 from .qpolys import (
     BinomialForm,
@@ -57,8 +59,6 @@ from .genfun import (
 from .deformed import (
     deformed_multinomial,
     partial_sum_multinomial,
-    rotate_right,
-    rotation_class,
 )
 from .mutations import (
     ExceptionalTableau,
@@ -88,6 +88,7 @@ __all__ = [
     "BlockShape", "DNotDividingM", "Partition", "SkewShape", "b_composition",
     "b_statistic", "block_coordinates", "corners_and_notches", "hook_lengths",
     "hook_multiset", "parse_blocks", "parse_partition", "partitions",
+    "rotate_right", "rotation_class",
     # qpolys
     "BinomialForm", "NonzeroRemainder", "QPoly", "divide_exact_int",
     "expand", "q_binomial", "q_factorial", "q_int", "q_multinomial",
@@ -100,8 +101,7 @@ __all__ = [
     # genfun
     "gmdn_fake_degree", "stanley", "syt_count", "wreath_fake_degree",
     # deformed
-    "deformed_multinomial", "partial_sum_multinomial", "rotate_right",
-    "rotation_class",
+    "deformed_multinomial", "partial_sum_multinomial",
     # mutations
     "ExceptionalTableau", "Move", "PhiBranchError", "SytPoset", "block_rule",
     "build_poset", "negative_rotations", "phi", "phi_move",

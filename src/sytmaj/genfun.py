@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from math import factorial
 
-from .deformed import _rotation_sum, rotation_class
-from .qpolys import BinomialForm, QPoly, divide_exact_int
-from .shapes import BlockShape, Partition, b_statistic, hook_multiset
+from .deformed import _rotation_sum
+from .qpolys import BinomialForm, QPoly
+from .shapes import BlockShape, Partition, b_statistic, hook_multiset, rotation_class
 
 
 def stanley(shape: Partition | BlockShape) -> BinomialForm:
@@ -50,22 +50,18 @@ def wreath_fake_degree(blocks: BlockShape, m: int) -> QPoly:
 
 
 def gmdn_fake_degree(blocks: BlockShape, m: int, d: int) -> QPoly:
-    """Fake degree polynomial for G(m,d,n): the deformed multinomial times
-    the blocks' hook products at q**m, divided by d/|orbit|.
+    """Fake degree polynomial for G(m,d,n): the sum over the orbit of the
+    block sequence under rotation by multiples of m/d (Stembridge).
 
-    Each rotation beta of alpha contributes q**b(beta) [n; alpha]
-    [A(beta)]/[n] at q**m, with A(beta) the sum of the first m/d entries of
-    beta (its m/d deletion terms, telescoped); times the hook products that
-    is stanley(blocks) [A(beta)]/[n], one binomial-form expansion per
-    rotation, made at q and interleaved into the sum at stride m.
+    Each distinct rotation, with block sizes beta, contributes q**b(beta)
+    [n; alpha] [A(beta)]/[n] times the blocks' hook products at q**m, with
+    A(beta) the sum of the first m/d entries of beta (its m/d deletion
+    terms, telescoped).  That is stanley(blocks) [A(beta)]/[n], one
+    binomial-form expansion per orbit member, made at q and interleaved
+    into the sum at stride m.  For n = 0 the orbit has one member and the
+    fake degree is 1.
     """
     if blocks.m != m:
         raise ValueError(f"block count {blocks.m} != m={m}")
-    poly = _rotation_sum(blocks.alpha(), d, stanley(blocks))
-    if not blocks.n:
-        return poly  # G(m,d,0) is trivial: one irreducible, fake degree 1
-    orbit = len(set(rotation_class(blocks.blocks, d)))
-    if d % orbit:
-        raise AssertionError("orbit size must divide d")
-    t = d // orbit
-    return divide_exact_int(poly, t) if t > 1 else poly
+    orbit = [tuple(b.n for b in mu) for mu in dict.fromkeys(rotation_class(blocks.blocks, d))]
+    return _rotation_sum(orbit, m // d, stanley(blocks))

@@ -171,7 +171,8 @@ class QPoly:
 
     @staticmethod
     def from_json(obj: dict) -> "QPoly":
-        return QPoly(int(obj["offset"]), (int(c) for c in obj["coeffs"]))
+        # to_json writes decimal strings; any other entry must be an integer
+        return QPoly(obj["offset"], (int(c) if isinstance(c, str) else c for c in obj["coeffs"]))
 
 
 def substitute_power(p: QPoly, m: int) -> QPoly:
@@ -272,6 +273,9 @@ def multinomial_exponents(n: int, alpha: Iterable[int]) -> list[int]:
     """The exponents e_d of [n]_q! / prod [a]_q!, as a list indexed by d, for
     nonnegative alpha summing to n.  [k]_q! = prod_{j<=k} (q**j - 1) /
     (q - 1)**k, and the (q - 1) powers cancel."""
+    alpha = tuple(alpha)
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"composition entries must be nonnegative: {alpha}")
     exps = [0] + [1] * n
     for j in (j for a in alpha for j in range(1, a + 1)):
         exps[j] -= 1

@@ -5,6 +5,7 @@ shape types are immutable value objects and hash/compare structurally.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -46,7 +47,7 @@ class Partition(_Cells):
     parts: tuple[int, ...] = ()
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(operator.index, parts))
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         if any(p <= 0 for p in parts):
@@ -141,6 +142,22 @@ def b_composition(alpha) -> int:
     return sum((i - 1) * a for i, a in enumerate(alpha, 1))
 
 
+def rotate_right(alpha: tuple, steps: int = 1) -> tuple:
+    """(alpha_m, alpha_1, ..., alpha_{m-1}) iterated `steps` times."""
+    m = len(alpha)
+    s = steps % m if m else 0
+    return alpha[-s:] + alpha[:-s] if s else alpha
+
+
+def rotation_class(alpha: tuple, d: int) -> list[tuple]:
+    """The d rotations of alpha by multiples of m/d (with repetition)."""
+    m = len(alpha)
+    if d <= 0 or m % d:
+        raise DNotDividingM(f"d={d} does not divide m={m}")
+    step = m // d
+    return [rotate_right(alpha, j * step) for j in range(d)]
+
+
 def corners_and_notches(p: Partition) -> tuple[tuple[Cell, ...], tuple[Cell, ...]]:
     """Corners are cells with hook length 1; notches are (i,j) outside the
     diagram with both (i-1,j) and (i,j-1) inside."""
@@ -220,17 +237,6 @@ class BlockShape(_Cells):
         return b_composition(self.alpha())
 
     @cached_property
-    def _offsets(self) -> tuple[tuple[int, int], ...]:
-        # Row offset of block j: total length of blocks above; column
-        # offset: total width of blocks below.
-        offs = []
-        for j in range(len(self.blocks)):
-            row_off = sum(len(b) for b in self.blocks[:j])
-            col_off = sum(b.part(1) for b in self.blocks[j + 1:])
-            offs.append((row_off, col_off))
-        return tuple(offs)
-
-    @cached_property
     def cells(self) -> tuple[Cell, ...]:
         return tuple(sorted(c for cells in block_coordinates(self) for c in cells))
 
@@ -242,23 +248,9 @@ class BlockShape(_Cells):
         """1-based index of the block containing an absolute cell."""
         return self._block_index[cell]
 
-    def rotate(self, steps: int) -> "BlockShape":
-        """Right-rotate the block sequence by `steps` positions."""
-        s = steps % self.m if self.blocks else 0
-        return BlockShape(self.blocks[-s:] + self.blocks[:-s]) if s else self
-
     def orbit(self, d: int) -> tuple["BlockShape", ...]:
         """Distinct shapes under the d rotations by multiples of m/d."""
-        if d <= 0 or self.m % d:
-            raise DNotDividingM(f"d={d} does not divide m={self.m}")
-        step = self.m // d
-        seen, out = set(), []
-        for j in range(d):
-            s = self.rotate(j * step)
-            if s.blocks not in seen:
-                seen.add(s.blocks)
-                out.append(s)
-        return tuple(out)
+        return tuple(map(BlockShape, dict.fromkeys(rotation_class(self.blocks, d))))
 
     def hook_sum(self) -> int:
         """Sum of every hook length over the blocks.  For one block it is
@@ -286,10 +278,14 @@ class BlockShape(_Cells):
 
 
 def block_coordinates(bs: BlockShape) -> list[list[Cell]]:
-    """Absolute cells of each block, in block order."""
-    out = []
-    for (row_off, col_off), b in zip(bs._offsets, bs.blocks):
-        out.append([(row_off + r, col_off + c) for r, c in b.cells])
+    """Absolute cells of each block, in block order.  A block sits below the
+    rows of the blocks above it and right of the columns of those below."""
+    out, row = [], 0
+    col = sum(b.part(1) for b in bs.blocks)
+    for b in bs.blocks:
+        col -= b.part(1)
+        out.append([(row + r, col + c) for r, c in b.cells])
+        row += len(b)
     return out
 
 

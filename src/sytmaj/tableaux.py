@@ -1,6 +1,7 @@
 """Standard Young tableaux on straight, skew, and block-diagonal shapes."""
 from __future__ import annotations
 
+import operator
 from functools import cache
 from typing import Iterator
 
@@ -32,15 +33,15 @@ class Tableau:
     `values[i]` is the entry in `shape.cells[i]` (cells in row-major order).
     That is the one representation: the value-major view, where each value
     sits, is `coords()`, built on demand and not stored.  With `check=False`
-    the caller vouches that the values are a bijection onto 1..n and the
-    filling is standard; neither is tested.
+    the caller vouches that the values are integers, a bijection onto 1..n,
+    and that the filling is standard; none of this is tested.
     """
 
     __slots__ = ("shape", "values", "_hash")
 
     def __init__(self, shape: Shape, values, check: bool = True):
         self.shape = shape
-        self.values = values = tuple(values)
+        self.values = values = tuple(map(operator.index, values) if check else values)
         n = len(shape.cells)
         if len(values) != n:
             raise ValueError("value count does not match shape size")

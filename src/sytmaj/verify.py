@@ -56,7 +56,7 @@ from functools import cache, partial
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
-from .deformed import deformed_multinomial, partial_sum_multinomial, rotation_class
+from .deformed import deformed_multinomial, partial_sum_multinomial
 from .genfun import gmdn_fake_degree, stanley, syt_count, wreath_fake_degree
 from .mutations import (
     block_rule,
@@ -87,6 +87,7 @@ from .shapes import (
     hook_lengths,
     parse_blocks,
     partitions,
+    rotation_class,
 )
 from .tableaux import (
     BoundExceeded,

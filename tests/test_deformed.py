@@ -10,12 +10,7 @@ import sytmaj.deformed
 import sytmaj.genfun
 import sytmaj.qpolys
 import sytmaj.verify
-from sytmaj.deformed import (
-    deformed_multinomial,
-    partial_sum_multinomial,
-    rotate_right,
-    rotation_class,
-)
+from sytmaj.deformed import deformed_multinomial, partial_sum_multinomial
 from sytmaj.genfun import gmdn_fake_degree
 from sytmaj.qpolys import (
     QPoly,
@@ -24,7 +19,15 @@ from sytmaj.qpolys import (
     shape_predicates,
     substitute_power,
 )
-from sytmaj.shapes import BlockShape, DNotDividingM, Partition, b_composition, parse_blocks
+from sytmaj.shapes import (
+    BlockShape,
+    DNotDividingM,
+    Partition,
+    b_composition,
+    parse_blocks,
+    rotate_right,
+    rotation_class,
+)
 from sytmaj.tableaux import word_inv
 from sytmaj.verify import (
     block_shapes,
@@ -342,6 +345,20 @@ def test_one_kernel_call_per_rotation(monkeypatch):
         assert 0 < len(calls) <= d and indexed_to(blocks.n), shape
 
 
+def test_gmdn_expands_once_per_orbit_member(monkeypatch):
+    # the fake degree sums over the orbit's distinct rotations, so a
+    # symmetric block sequence expands fewer forms than d
+    calls = []
+    expand = sytmaj.deformed.expand
+    monkeypatch.setattr(sytmaj.deformed, "expand", lambda form: calls.append(form) or expand(form))
+    counts = []
+    for shape, m, d in [("2,1|2,1", 2, 2), ("1|1|1", 3, 3), ("1||1|", 4, 2), ("2,1|1", 2, 2)]:
+        calls.clear()
+        gmdn_fake_degree(parse_blocks(shape), m, d)
+        counts.append(len(calls))
+    assert counts == [1, 1, 1, 2]
+
+
 def test_rotation_sum_multiplies_no_polynomials(monkeypatch):
     def refuse(*args):
         raise AssertionError("polynomial arithmetic outside the kernel")
@@ -361,6 +378,17 @@ def test_rotation_sum_multiplies_no_polynomials(monkeypatch):
     assert got_p == [partial_sum_multinomial_by_sum(a, k) for a, _ in cases
                      for k in range(1, len(a) + 1)]
     assert got_g == [gmdn_gf_oracle(b, m, d) for b, m, d in blocks]
+
+
+def test_negative_entries_raise_value_error():
+    # both once raised IndexError from multinomial_exponents
+    for call in (deformed_multinomial, partial_sum_multinomial):
+        with pytest.raises(ValueError, match=r"^composition entries must be nonnegative: \(2, -1\)$"):
+            call((2, -1), 1)
+    # a partial sum of 0 once returned 0 before the entries were checked
+    for alpha, k in (((0, -1), 1), ((-1, 1), 2), ((1, -1), 2)):
+        with pytest.raises(ValueError, match="^composition entries must be nonnegative"):
+            partial_sum_multinomial(alpha, k)
 
 
 def test_zero_content_edge_cases():

@@ -278,6 +278,22 @@ def test_coefficients_and_offset_must_be_integers():
     assert QPoly.from_json(p.to_json()) == p
 
 
+def test_from_json_rejects_non_integers():
+    # {"offset": 1.5, "coeffs": ["1"]} once read as q
+    for obj in ({"offset": 1.5, "coeffs": ["1"]}, {"offset": "1", "coeffs": ["1"]},
+                {"offset": 0, "coeffs": [1.0]}, {"offset": 0, "coeffs": ["1.5"]}):
+        with pytest.raises((TypeError, ValueError)):
+            QPoly.from_json(obj)
+    assert QPoly.from_json({"offset": True, "coeffs": [2, True, "-3"]}) == QPoly(1, (2, 1, -3))
+
+
+def test_multinomial_exponents_rejects_negative_entries():
+    for n, alpha in ((1, (2, -1)), (0, (-1, 1)), (2, [3, -1])):
+        with pytest.raises(ValueError, match="^composition entries must be nonnegative"):
+            multinomial_exponents(n, alpha)
+    assert multinomial_exponents(3, iter((2, 1))) == [0, -1, 0, 1]  # an iterator is read once
+
+
 def test_arithmetic_rejects_unsupported_operands():
     # Any operand that was not an int once reached `other.is_zero()` and
     # raised AttributeError.

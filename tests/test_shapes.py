@@ -17,6 +17,8 @@ from sytmaj.shapes import (
     parse_blocks,
     parse_partition,
     partitions,
+    rotate_right,
+    rotation_class,
 )
 
 partition_st = st.builds(
@@ -39,6 +41,17 @@ def test_partition_basics():
         Partition((2, 3))
     with pytest.raises(ValueError):
         Partition((2, -1))
+
+
+def test_partition_parts_must_be_integers():
+    # Partition((2.7, 1)) once read as (2, 1), and Partition("32") as (3, 2)
+    for parts in ((2.7, 1), (2.0, 1), "32", ("3", "2")):
+        with pytest.raises(TypeError):
+            Partition(parts)
+    p = Partition((True, 1))
+    assert p.parts == (1, 1) and str(p) == "1,1"
+    assert all(type(x) is int for x in p.parts)
+    assert Partition((2, False)).parts == (2,)
 
 
 def test_parse_roundtrip():
@@ -173,7 +186,7 @@ def test_block_coordinates_give_valid_skew():
 
 def test_rotation_and_orbit():
     bs = parse_blocks("1|2|3,2|4|5|6,1")
-    assert bs.rotate(3).blocks == bs.blocks[-3:] + bs.blocks[:-3]
+    assert rotate_right(bs.blocks, 3) == bs.blocks[-3:] + bs.blocks[:-3]
     orb = parse_blocks("1|2|3,2|1|2|3,2").orbit(2)
     assert len(orb) == 1
     assert len(parse_blocks("2|3,1").orbit(2)) == 2
@@ -182,14 +195,14 @@ def test_rotation_and_orbit():
     # the empty sequence has one rotation: itself
     empty = BlockShape(())
     for k in (-1, 0, 1, 5):
-        assert empty.rotate(k) == empty
+        assert rotate_right(empty.blocks, k) == ()
     assert empty.orbit(1) == (empty,)
 
 
 def test_d_not_dividing_m_is_raised_by_every_rotation_user():
-    # the check lives in rotation_class and BlockShape.orbit; every caller
-    # must reach one of them before doing anything else, n = 0 included
-    from sytmaj.deformed import deformed_multinomial, rotation_class
+    # the check lives in rotation_class alone; every caller must reach it
+    # before doing anything else, n = 0 included
+    from sytmaj.deformed import deformed_multinomial
     from sytmaj.genfun import gmdn_fake_degree
     from sytmaj.tableaux import canonical_orbit_tableaux
     from sytmaj.verify import gmdn_gf_oracle

@@ -80,6 +80,18 @@ def test_tableau_rejects_non_bijections():
     assert Tableau(p, (1, 2, 3)).values == (1, 2, 3)
 
 
+def test_tableau_values_must_be_integers():
+    # Tableau(Partition((2,)), (1.0, 2.0)) once passed its check, and then
+    # maj() raised TypeError on a list index
+    p = Partition((2,))
+    for values in ((1.0, 2.0), (1, 2.5), ("1", "2")):
+        with pytest.raises(TypeError):
+            Tableau(p, values)
+    t = Tableau(p, (True, 2))
+    assert t.values == (1, 2) and all(type(v) is int for v in t.values)
+    assert t.maj() == 0
+
+
 def test_move_apply_rejects_what_is_not_a_standard_filling():
     t = from_rows([[1, 2], [3]])
     for cycles in ((3, 4),), ((3, 0),), ((1, 2),):  # past n, below 1, a row decreases
