@@ -5,16 +5,18 @@ All moves act on straight-shape standard tableaux by permuting values; a
 forward move raises the major index by exactly one.  `Move.image` is the
 one way a move is applied: it maps a values tuple through the successor
 map each `Move` builds once, and `Move.apply` checks that the image is a
-standard filling.  A rotation's `Move` is cached per (i, k, j) triple.  The
-rotation scans, the block-rule matchers and phi's case analysis read each
-value's row and column from the arrays of `tableaux.coords`.
+standard filling.  A rotation's `Move` is cached per (i, k, j) triple, a
+block move per parameter tuple.  The rotation scans, the block-rule matchers
+and phi's case analysis read each value's row and column from the arrays of
+`tableaux.coords`.
 
 A `build_poset` node is its values tuple, sorted with the maj that
 `tableaux.fillings` yields.  Both steps return `Move`s, and a cover is a
 move's image of a node's values plus one dict lookup.  The ground set is
 every standard filling minus, for a big rectangle, the two extremes, so a
 lookup that misses and is not one of those two is a filling the move left
-non-standard, and it raises.
+non-standard, and it raises.  It is built once per shape (`_ground`) and
+shared by the strong and the weak order; only the last shape's is kept.
 
 The negative-rotation conditions are the positive ones on the
 anti-transposed filling: rows and columns swapped and each value v read as
@@ -38,7 +40,7 @@ itself and running the block rule over the conjugate shape's fillings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from math import comb
 from operator import itemgetter
 from typing import Iterator
@@ -210,10 +212,12 @@ def _abc(rows: list[int], cols: list[int]) -> tuple[int, int, int]:
     return a, r, c
 
 
+@cache
 def _b1_move(a: int, b: int, c: int) -> Move:
     return Move("B1", (tuple(range(2, a + 2)), (c, c + 1)), params=(a, b, c))
 
 
+@cache
 def _b2_move(a: int, b: int, c: int) -> Move:
     seq = (
         list(range(2, a + 1))
@@ -224,10 +228,12 @@ def _b2_move(a: int, b: int, c: int) -> Move:
     return Move("B2", (tuple(seq),), params=(a, b, c))
 
 
+@cache
 def _b3_move(a: int, k: int) -> Move:
     return Move("B3", (tuple(range(2, a + 1)) + (a + k + 1, a + 1),), params=(a, k))
 
 
+@cache
 def _b4_move(k: int, l: int) -> Move:
     return Move(
         "B4",
@@ -236,6 +242,7 @@ def _b4_move(k: int, l: int) -> Move:
     )
 
 
+@cache
 def _b5_move(k: int) -> Move:
     return Move(
         "B5",
@@ -594,6 +601,27 @@ class SytPoset:
         return {label: [labels[j] for j in ups] for label, ups in zip(labels, self.covers)}
 
 
+# maxsize=1: a shape's two orders are built back to back, and at most one ground set outlives them.
+@lru_cache(maxsize=1)
+def _ground(p: Partition) -> tuple:
+    """The ground set of p for both orders: its values tuples, their majs and
+    index, the excluded extremes' majs, each node's transpose index when p is
+    self-conjugate, and the elements.  `fillings` runs first, so a shape past
+    the cell bound raises before its cells are built."""
+    keyed = list(fillings(p))
+    word = itemgetter(*p.reading_order) if p.n > 1 else tuple
+    keyed.sort(key=lambda f: (f[0], word(f[1])))
+    extremes = (keyed.pop(0), keyed.pop()) if p.is_big_rectangle() else ()
+    outside = {v: maj for maj, v in extremes}
+    majs, ground = tuple(maj for maj, _ in keyed), tuple(v for _, v in keyed)
+    index = {v: i for i, v in enumerate(ground)}
+    conj, mirror = p.transpose_map
+    flip = itemgetter(*mirror) if p.n > 1 else tuple
+    tr = tuple(index[flip(v)] for v in ground) if conj == p else ()
+    elements = tuple(Tableau(p, v, check=False) for v in ground)
+    return ground, majs, index, outside, tr, elements
+
+
 def build_poset(p: Partition, flavor: str) -> SytPoset:
     """The strong or weak order on the ground set of p.
 
@@ -611,39 +639,35 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
 
     A node is its values tuple; the ground set is the (maj, values) pairs
     of `fillings`, sorted by maj and row reading word, less the first and
-    last (the unique min-maj and max-maj fillings) on a big rectangle.  Every
+    last (the unique min-maj and max-maj fillings) on a big rectangle.
+    `_ground` builds it once per shape and keeps only the last shape's, so a
+    shape's two orders share their `elements` and `majs`.  Every
     step is a value permutation, and permuting values commutes with
     transposition, so both steps land on `Move.image` of t's own values,
     looked up by value tuple (see the module docstring).  A miss that is not
     an excluded extreme raises, and so does an edge that does not change maj
     by one: ValueError as Move.apply does in the strong order,
-    PhiBranchError as phi does in the weak one.  Tableau objects are made
-    only for those errors and for `elements`.
+    PhiBranchError as phi does in the weak one.
 
     When p is self-conjugate, t' is node tr[i] of the ground set, so the
     step is taken at t alone and each of its edges (i, j) also gives the
     edge (tr[j], tr[i]) of the step at t'.
     """
-    word = itemgetter(*p.reading_order) if p.n > 1 else tuple
-    keyed = sorted(fillings(p), key=lambda f: (f[0], word(f[1])))
-    extremes = (keyed.pop(0), keyed.pop()) if p.is_big_rectangle() else ()
-    outside = {v: maj for maj, v in extremes}
-    majs, ground = tuple(maj for maj, _ in keyed), [v for _, v in keyed]
-    index = {v: i for i, v in enumerate(ground)}
-    conj, mirror = p.transpose_map
+    if flavor not in ("strong", "weak"):
+        raise ValueError(f"unknown poset flavor {flavor!r}")
+    ground, majs, index, outside, tr, elements = _ground(p)
+    conj = p.transpose_map[0]
     mirrored = conj == p
     if flavor == "strong":
         step, fault = _forward_moves, ValueError
         skip_up = skip_down = frozenset()
-    elif flavor == "weak":
+    else:
         fault = PhiBranchError
         skip_up = {e.values for e in exceptional_set(p)}
         skip_down = {e.transpose().values for e in exceptional_set(conj)}
 
         def step(rows: list[int], cols: list[int]) -> list[Move]:
             return [_phi_move(rows, cols)]
-    else:
-        raise ValueError(f"unknown poset flavor {flavor!r}")
 
     def land(i: int, mv: Move, rise: int) -> int | None:
         """Index of the node mv takes ground[i] to, None for an excluded
@@ -655,14 +679,11 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
         maj = majs[j] if j is not None else outside.get(key)
         if maj is not None and rise * (maj - majs[i]) == 1:
             return j
-        t = Tableau(p, ground[i], check=False)
-        source = (t if rise > 0 else t.transpose()).to_text()
+        source = (elements[i] if rise > 0 else elements[i].transpose()).to_text()
         if maj is None:
             raise fault(f"{mv} broke standardness on {source}")
         raise fault(f"{mv} changed maj by {rise * (maj - majs[i])} on {source}")
 
-    flip = itemgetter(*mirror) if p.n > 1 else tuple
-    tr = [index[flip(v)] for v in ground] if mirrored else []
     covers: list[list[int]] = [[] for _ in ground]
     for i, v in enumerate(ground):
         rows, cols = coords(p.cells, v)  # built once, for both steps
@@ -676,7 +697,6 @@ def build_poset(p: Partition, flavor: str) -> SytPoset:
             for mv in step(cols, rows):
                 if (j := land(i, mv, -1)) is not None:
                     covers[j].append(i)
-    elements = tuple(Tableau(p, v, check=False) for v in ground)
     return SytPoset(flavor, p, elements, majs, tuple(tuple(sorted(set(c))) for c in covers))
 
 

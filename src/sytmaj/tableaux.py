@@ -142,7 +142,7 @@ def fillings(shape: Shape, limit: int = 20) -> Iterator[tuple[int, tuple[int, ..
     deterministic order given by value-ascending backtracking with cells
     tried row-major.  The maj is summed as the values are placed: v-1 is a
     descent when v lands in a lower row than v-1, and 0 sits in row 0."""
-    n = len(shape.cells)
+    n = shape.n  # tested before the cells are built
     if n > limit:
         raise BoundExceeded(f"shape has {n} cells, bound is {limit}")
     north, west = shape.neighbours

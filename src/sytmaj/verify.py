@@ -146,10 +146,10 @@ def _corner_counts(shape) -> tuple[tuple[int, int], ...]:
     straight shape at the 20-cell bound is cheap, but one of many small
     blocks is not.
     """
-    cells = shape.cells
-    n = len(cells)
+    n = shape.n  # tested before the cells are built
     if n > 20:
         raise BoundExceeded(f"shape has {n} cells, bound is 20")
+    cells = shape.cells
     north, west = shape.neighbours
     # each cell with its south and east neighbours: cell i is an outer corner
     # of `mask` when mask & reach[i] == 1 << i

@@ -53,9 +53,12 @@ def test_bench_rounds_clear_the_rotation_move_caches():
     finally:
         sys.path.remove(BENCH)
     caches = run.sytmaj_caches()
-    assert mutations._positive_move in caches and mutations._negative_move in caches
+    moves = [mutations._positive_move, mutations._negative_move, mutations._ground,
+             *(getattr(mutations, f"_b{k}_move") for k in range(1, 6))]
+    assert all(c in caches for c in moves)
     mutations.build_poset(parse_partition("4,2,1"), "strong")
     assert mutations._positive_move.cache_info().currsize > 0
+    assert mutations._ground.cache_info().currsize > 0
     for c in caches:
         c.cache_clear()
-    assert mutations._positive_move.cache_info().currsize == 0
+    assert all(c.cache_info().currsize == 0 for c in moves)

@@ -20,14 +20,16 @@ from sytmaj.mutations import (
 )
 from sytmaj.shapes import Partition, b_statistic, parse_partition, partitions
 from sytmaj.tableaux import (
+    BoundExceeded,
     Tableau,
     enumerate_tableaux,
     exceptional_set,
+    fillings,
     from_rows,
     maxmaj_tableau,
     minmaj_tableau,
 )
-from sytmaj.verify import _block_preimages, block_shapes, strong_covers
+from sytmaj.verify import _block_preimages, block_shapes, maj_gf_oracle, strong_covers
 
 
 def oracle_rotations(t, sign):
@@ -588,6 +590,60 @@ def test_posets_take_each_step_once(monkeypatch):
         calls.clear()
         build_poset(p, "weak")
         assert calls == {"_phi_move": sides * (nodes - 1), "transpose": 1}, shape
+
+
+def test_strong_and_weak_builds_share_one_ground_set(monkeypatch):
+    # A shape's ground set is built once, for both orders, and only the last
+    # shape's is kept.  Cleared first, so no earlier test leaves it warm.
+    mutations._ground.cache_clear()
+    calls = Counter()
+    spy_calls(monkeypatch, calls, mutations, ("fillings",))
+    for shape in ("5,2,2,1", "4,3,2,1"):
+        p = parse_partition(shape)
+        calls.clear()
+        strong, weak = build_poset(p, "strong"), build_poset(p, "weak")
+        assert calls == {"fillings": 1}, shape
+        assert weak.elements is strong.elements and weak.majs is strong.majs, shape
+    calls.clear()
+    mutations._ground.cache_clear()
+    build_poset(p, "weak")
+    assert calls == {"fillings": 1}
+    build_poset(parse_partition("5,2,2,1"), "strong")
+    build_poset(p, "strong")
+    assert calls == {"fillings": 3}
+
+
+def test_ground_set_cache_gives_the_cold_build():
+    # 3,2,1 is self-conjugate (the transpose index) and 3,3 a big rectangle
+    # (the excluded extremes); 3,2,1 comes back after 3,3 has evicted it.
+    shapes = [parse_partition(s) for s in ("3,2,1", "3,3", "3,2,1")]
+    warm = [build_poset(p, flavor) for p in shapes for flavor in ("strong", "weak")]
+    cold = []
+    for p in shapes:
+        for flavor in ("strong", "weak"):
+            mutations._ground.cache_clear()
+            cold.append(build_poset(p, flavor))
+    for w, c in zip(warm, cold):
+        assert (w.elements, w.majs, w.covers) == (c.elements, c.majs, c.covers), w.shape
+
+
+def test_unknown_flavor_raises_before_the_ground_set(monkeypatch):
+    mutations._ground.cache_clear()
+    calls = Counter()
+    spy_calls(monkeypatch, calls, mutations, ("fillings",))
+    with pytest.raises(ValueError, match="unknown poset flavor 'bogus'"):
+        build_poset(parse_partition("3,2,1"), "bogus")
+    assert calls == {}
+
+
+def test_cell_bound_is_tested_before_the_cells_are_built():
+    p = Partition((10**6,))
+    for call in (lambda: list(fillings(p)), lambda: list(enumerate_tableaux(p)),
+                 lambda: build_poset(p, "strong"), lambda: build_poset(p, "weak"),
+                 lambda: maj_gf_oracle(p)):
+        with pytest.raises(BoundExceeded, match="1000000 cells"):
+            call()
+    assert "cells" not in p.__dict__ and "reading_order" not in p.__dict__
 
 
 def test_transpose_swaps_value_coordinates():
